@@ -11,7 +11,7 @@
 //! - `quickstart_build_ms` — the `examples/quickstart.rs` setup: SE(ε=0.1)
 //!   over the exact engine on the SfSmall preset with 60 POIs;
 //! - `query_batch_ns_per_op` — `benches/query_batch.rs`'s 10k-pair batch
-//!   through `QueryHandle::distance_many`, per-pair;
+//!   through a `QueryHandle` (`SeOracle::distance_many`), per-pair;
 //! - `path_query_us_per_op` — `benches/path_query.rs`'s 64-pair
 //!   `shortest_path` sweep, per-query;
 //! - `socket_pairs_per_s` / `socket_p99_us` — the `oracled` server core on

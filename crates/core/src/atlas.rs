@@ -53,7 +53,10 @@
 //! [`AtlasHandle`] answers bit-identically from any number of threads.
 
 // lint: query-path
-use crate::oracle::{BuildConfig, BuildError, SeOracle};
+use crate::oracle::{
+    check_range, expect_answers, site_pair, BuildConfig, BuildError, ProbeStats, QueryError,
+    SeOracle,
+};
 use crate::p2p::{make_engine, EngineKind};
 use crate::persist::PersistError;
 use crate::proximity::DetourPoi;
@@ -63,12 +66,12 @@ use crate::tilestore::TileStore;
 use geodesic::path::{shortest_vertex_path_straightened, SurfacePath};
 use geodesic::sitespace::VertexSiteSpace;
 use geodesic::steiner::SteinerGraph;
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
-// lint: allow(d2, "timing types for build stats; wall-clock never feeds oracle data")
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use terrain::poi::SurfacePoint;
 use terrain::refine::insert_surface_points;
 use terrain::tile::{TileError, TileGridConfig, TilePartition};
@@ -311,8 +314,10 @@ impl Atlas {
         if !(eps > 0.0 && eps.is_finite()) {
             return Err(AtlasError::InvalidEpsilon(eps));
         }
-        // lint: allow(d2, "build timing recorded in BuildStats only; never feeds the atlas image")
-        let t_start = Instant::now();
+        // Phase durations come from `build/*` trace spans, like the tile
+        // oracles' own.
+        let span_total = obs::trace::timed("build", "atlas");
+        let span_tiling = obs::trace::timed("build", "tiling");
         let partition = TilePartition::build(&mesh, &cfg.grid)?;
         let n_tiles = partition.n_tiles();
         let portal_verts = partition.portals();
@@ -359,7 +364,7 @@ impl Atlas {
                 plan.portals.push((gid as u32, local));
             }
         }
-        let tiling = t_start.elapsed();
+        let tiling = span_tiling.finish();
 
         // Tile oracles are independent: run them on the worker pool,
         // splitting the thread budget between concurrent tiles (outer) and
@@ -369,8 +374,7 @@ impl Atlas {
         let workers = cfg.build.resolved_threads();
         let tile_workers = workers.min(n_tiles).max(1);
         let inner_cfg = BuildConfig { threads: (workers / tile_workers).max(1), ..cfg.build };
-        // lint: allow(d2, "per-tile build timing lands in BuildStats only; never in the image")
-        let t0 = Instant::now();
+        let span_oracles = obs::trace::timed("build", "tile-oracles");
         let built: Vec<Result<(SeOracle, Vec<f64>), BuildError>> =
             geodesic::pool::run_indexed(tile_workers, n_tiles, |t| {
                 let plan = &plans[t];
@@ -387,7 +391,7 @@ impl Atlas {
                 let table = oracle.distance_many(&pairs);
                 Ok((oracle, table))
             });
-        let oracles = t0.elapsed();
+        let oracles = span_oracles.finish();
 
         // Path graphs must be captured here: the per-tile site lists are
         // consumed by the tile assembly below, and the tile meshes are not
@@ -416,7 +420,7 @@ impl Atlas {
 
         let (graph_off, graph_adj) = build_portal_graph(&portal_views(&tiles), n_portals);
         let stats = AtlasBuildStats {
-            total: t_start.elapsed(),
+            total: span_total.finish(),
             tiling,
             oracles,
             workers,
@@ -599,10 +603,11 @@ impl Atlas {
     /// atlases clone the tile's `Arc`; out-of-core atlases go through the
     /// store, which may decode the segment (a miss) and evict others —
     /// the returned `Arc` keeps this tile's data alive for the caller
-    /// regardless, so mid-query eviction cannot invalidate it.
-    pub(crate) fn tile(&self, t: usize) -> Arc<AtlasTile> {
+    /// regardless, so mid-query eviction cannot invalidate it. A segment
+    /// that no longer reads is [`QueryError::TileUnavailable`].
+    pub(crate) fn tile(&self, t: usize) -> Result<Arc<AtlasTile>, QueryError> {
         match &self.tiles {
-            TileSet::Resident(v) => Arc::clone(&v[t]),
+            TileSet::Resident(v) => Ok(Arc::clone(&v[t])),
             TileSet::Store(s) => s.tile(t),
         }
     }
@@ -615,97 +620,93 @@ impl Atlas {
         &self.site_members
     }
 
-    /// ε-routed geodesic distance between sites `s` and `t`: intra-tile
-    /// pairs go straight to the tile oracle, cross-tile pairs through the
-    /// portal graph (see the module docs for the accuracy contract).
+    /// ε-routed geodesic distance between sites `s` and `t`, as one pair
+    /// through [`Self::distance_many_checked_with_stats`] (see the module
+    /// docs for the accuracy contract).
     ///
-    /// Panics when either site id is out of range; use
-    /// [`Self::try_distance`] for a checked variant.
+    /// Panics when either site id is out of range or the image (or an
+    /// out-of-core atlas's backing file) is corrupt; the checked kernel
+    /// reports both as a [`QueryError`].
     pub fn distance(&self, s: usize, t: usize) -> f64 {
-        self.check_sites(s, t);
-        let mut scratch = RouteScratch::new(self.n_portals);
-        self.distance_unchecked(s, t, &mut scratch)
-    }
-
-    /// Checked query: `None` when either site id is out of range.
-    pub fn try_distance(&self, s: usize, t: usize) -> Option<f64> {
-        let n = self.n_sites();
-        (s < n && t < n).then(|| self.distance(s, t))
+        self.distance_many(&[site_pair(s, t)])[0]
     }
 
     /// Batch query, bit-identical to calling [`Self::distance`] per pair
-    /// in input order. The portal-routing scratch (distance labels, heap)
-    /// is allocated once and reused across the whole batch, mirroring
-    /// `SeOracle::distance_many`'s layer-array amortization.
-    ///
-    /// Panics when any pair is out of range (the message names the first
-    /// offending pair); use [`Self::try_distance_many`] to check instead.
+    /// in input order — the checked kernel's answers, panicking where it
+    /// returns an error (the message names the first offending pair).
     pub fn distance_many(&self, pairs: &[(u32, u32)]) -> Vec<f64> {
-        self.check_pairs(pairs);
-        let mut scratch = RouteScratch::new(self.n_portals);
-        pairs
-            .iter()
-            .map(|&(s, t)| self.distance_unchecked(s as usize, t as usize, &mut scratch))
-            .collect()
+        expect_answers(self.distance_many_checked_with_stats(pairs)).0
     }
 
-    /// Checked batch query: element `i` is `Some(distance(pairs[i]))` or
-    /// `None` when out of range — what mapping [`Self::try_distance`]
-    /// returns, with the batch scratch amortization.
-    pub fn try_distance_many(&self, pairs: &[(u32, u32)]) -> Vec<Option<f64>> {
-        let n = self.n_sites();
-        let mut scratch = RouteScratch::new(self.n_portals);
-        pairs
-            .iter()
-            .map(|&(s, t)| {
-                let (s, t) = (s as usize, t as usize);
-                (s < n && t < n).then(|| self.distance_unchecked(s, t, &mut scratch))
-            })
-            .collect()
+    /// The atlas query kernel, with the same contract as
+    /// [`SeOracle::distance_many_checked_with_stats`]: ids are checked
+    /// first, every failure is a typed [`QueryError`], and answers come in
+    /// input order. Each pair is the minimum over every tile holding both
+    /// sites (same-home pairs always have one; overlap gives near-seam
+    /// pairs one too) and, for cross-home pairs, the portal route. Tile
+    /// answers go through each tile oracle's own kernel, so a corrupt tile
+    /// is [`QueryError::NoCoveringPair`] for the pair it failed, and every
+    /// tile leg's [`ProbeStats`] add into the batch total. The routing
+    /// scratch (distance labels, heap) is allocated once per batch and
+    /// reset after every pair, so answers never depend on batch history.
+    pub fn distance_many_checked_with_stats(
+        &self,
+        pairs: &[(u32, u32)],
+    ) -> Result<(Vec<f64>, ProbeStats), QueryError> {
+        check_range(pairs, self.n_sites())?;
+        self.route_pairs(pairs)
     }
 
-    /// The batch-validation panic, mirroring `SeOracle::check_pairs`.
-    pub(crate) fn check_pairs(&self, pairs: &[(u32, u32)]) {
-        let n = self.n_sites();
-        if let Some((i, &(s, t))) =
-            pairs.iter().enumerate().find(|&(_, &(s, t))| s as usize >= n || t as usize >= n)
-        {
-            // lint: allow(panic, "documented panic contract for out-of-range ids; try_distance_many is the checked alternative")
-            panic!(
-                "pair #{i} ({s}, {t}) out of range for an atlas over {n} sites \
-                 (valid ids are 0..{n}); use Atlas::try_distance_many for a checked batch"
-            );
+    /// [`Self::distance_many`] sharded across `threads` pool workers
+    /// (`0` = auto-detect): results in input order, bit-identical for
+    /// every thread count, each shard with its own routing scratch. An
+    /// empty slice returns immediately without touching the pool.
+    ///
+    /// Panics exactly as [`Self::distance_many`] does — ids are checked
+    /// up front, so an out-of-range panic fires on the caller's thread.
+    pub fn distance_many_par(&self, pairs: &[(u32, u32)], threads: usize) -> Vec<f64> {
+        let answers = check_range(pairs, self.n_sites())
+            .and_then(|()| shard_pairs(pairs, threads, |chunk| self.route_pairs(chunk)));
+        expect_answers(answers).0
+    }
+
+    /// Answers range-checked pairs over one reused routing scratch — the
+    /// one loop over pairs every atlas distance entry point runs.
+    fn route_pairs(&self, pairs: &[(u32, u32)]) -> Result<(Vec<f64>, ProbeStats), QueryError> {
+        let mut scratch = RouteScratch::new(self.n_portals);
+        let mut stats = ProbeStats::default();
+        let mut out = Vec::with_capacity(pairs.len());
+        for &(s, t) in pairs {
+            out.push(self.answer(s as usize, t as usize, &mut scratch, &mut stats)?.0);
         }
+        Ok((out, stats))
     }
 
-    #[inline]
-    fn check_sites(&self, s: usize, t: usize) {
-        let n = self.n_sites();
-        assert!(
-            s < n && t < n,
-            "site ids ({s}, {t}) out of range for an atlas over {n} sites \
-             (valid ids are 0..{n}); use Atlas::try_distance for a checked query"
-        );
-    }
-
-    /// The query body over validated ids and a reusable scratch. Every
-    /// call leaves the scratch reset, so answers never depend on batch
-    /// history — the bit-identity contract between single, batch and
-    /// parallel entry points.
-    fn distance_unchecked(&self, s: usize, t: usize, scratch: &mut RouteScratch) -> f64 {
+    /// One range-checked pair: the distance and what realised it — the
+    /// lowest-numbered tile holding both sites on ties, and a direct
+    /// answer over an equal portal route, which [`Self::shortest_path`]
+    /// rebuilds a polyline from. Leaves `scratch` reset.
+    fn answer(
+        &self,
+        s: usize,
+        t: usize,
+        scratch: &mut RouteScratch,
+        stats: &mut ProbeStats,
+    ) -> Result<(f64, Via), QueryError> {
         let (ms, mt) = (&self.site_members[s], &self.site_members[t]);
-        // Direct answers from every tile containing both sites (same-home
-        // pairs always have one; overlap gives near-seam cross-home pairs
-        // one too). Sorted-by-tile lists intersect with two pointers.
-        let mut best = f64::INFINITY;
+        let mut best = (f64::INFINITY, None);
+        // Sorted-by-tile membership lists intersect with two pointers.
         let (mut i, mut j) = (0usize, 0usize);
         while i < ms.len() && j < mt.len() {
             match ms[i].0.cmp(&mt[j].0) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    let tile = self.tile(ms[i].0 as usize);
-                    best = best.min(tile.oracle.distance(ms[i].1 as usize, mt[j].1 as usize));
+                Ordering::Less => i += 1,
+                Ordering::Greater => j += 1,
+                Ordering::Equal => {
+                    let (tile, a, b) = (ms[i].0 as usize, ms[i].1, mt[j].1);
+                    let d = self.leg(&*self.tile(tile)?, &[(a, b)], (s, t), stats)?[0];
+                    if d < best.0 {
+                        best = (d, Some(Via::Tile { tile, a, b }));
+                    }
                     i += 1;
                     j += 1;
                 }
@@ -713,31 +714,73 @@ impl Atlas {
         }
         let (hs, ht) = (self.site_home[s], self.site_home[t]);
         if hs != ht {
-            let ls = local_in(ms, hs);
-            let lt = local_in(mt, ht);
-            best = best.min(self.route(hs as usize, ls, ht as usize, lt, scratch));
+            let no_route = QueryError::NoRoute { s, t };
+            let ls = local_in(ms, hs).ok_or(no_route)?;
+            let lt = local_in(mt, ht).ok_or(no_route)?;
+            let routed =
+                self.route((s, t), (hs as usize, ls), (ht as usize, lt), scratch, stats)?;
+            if let Some((d, exit)) = routed {
+                // Strict `<`: on a tie the direct answer wins.
+                if d < best.0 {
+                    best = (d, Some(Via::Portals { ls, lt, exit }));
+                }
+            }
         }
-        assert!(
-            best.is_finite(),
-            "no route between sites {s} and {t} although construction validated \
-             connectivity — the atlas image is corrupt; rebuild it"
-        );
-        best
+        match best {
+            (d, Some(via)) => Ok((d, via)),
+            (_, None) => Err(QueryError::NoRoute { s, t }),
+        }
     }
 
-    /// Cross-tile routing: seed a portal-graph Dijkstra with every source
-    /// portal's oracle distance from `s`, settle the graph, and harvest
-    /// the best completion through a destination portal.
-    fn route(&self, ts: usize, ls: u32, tt: usize, lt: u32, scratch: &mut RouteScratch) -> f64 {
-        let src = self.tile(ts);
-        let dst = self.tile(tt);
+    /// Answers tile-local `pairs` through `tile`'s oracle kernel, adding
+    /// its probes to `stats`. Any failure means the tile is corrupt, and
+    /// is reported as [`QueryError::NoCoveringPair`] for the atlas pair
+    /// `(s, t)` being answered.
+    fn leg(
+        &self,
+        tile: &AtlasTile,
+        pairs: &[(u32, u32)],
+        (s, t): (usize, usize),
+        stats: &mut ProbeStats,
+    ) -> Result<Vec<f64>, QueryError> {
+        let (d, leg_stats) = tile
+            .oracle
+            .distance_many_checked_with_stats(pairs)
+            .map_err(|_| QueryError::NoCoveringPair { s, t })?;
+        *stats += leg_stats;
+        Ok(d)
+    }
+
+    /// Cross-tile routing from local site `ls` of tile `ts` to `lt` of
+    /// `tt`: seed a portal-graph Dijkstra with every source portal's
+    /// oracle distance from `ls`, settle until every destination portal is
+    /// final, and harvest the best completion through a destination
+    /// portal. Returns that distance and its exit portal (`None` when no
+    /// destination portal is reachable); every label's predecessor stays
+    /// in `scratch` for [`RouteScratch::chain`].
+    fn route(
+        &self,
+        pair: (usize, usize),
+        (ts, ls): (usize, u32),
+        (tt, lt): (usize, u32),
+        scratch: &mut RouteScratch,
+        stats: &mut ProbeStats,
+    ) -> Result<Option<(f64, u32)>, QueryError> {
+        let src = self.tile(ts)?;
+        let dst = self.tile(tt)?;
         debug_assert!(scratch.heap.is_empty() && scratch.touched.is_empty());
 
+        // Both endpoint legs first, so a failing leg returns before the
+        // scratch holds any state.
         scratch.pairs.clear();
         scratch.pairs.extend(src.portals.iter().map(|&(_, lp)| (ls, lp)));
-        let from_s = src.oracle.distance_many(&scratch.pairs);
+        let from_s = self.leg(&src, &scratch.pairs, pair, stats)?;
+        scratch.pairs.clear();
+        scratch.pairs.extend(dst.portals.iter().map(|&(_, lp)| (lt, lp)));
+        let to_t = self.leg(&dst, &scratch.pairs, pair, stats)?;
+
         for (k, &(gid, _)) in src.portals.iter().enumerate() {
-            scratch.relax(gid, from_s[k]);
+            scratch.relax(gid, from_s[k], SEEDED);
         }
         // Settle until every destination portal is final, then stop — a
         // settled label equals its full-run value, so the early exit is
@@ -762,23 +805,22 @@ impl Atlas {
             let (lo, hi) = (self.graph_off[u as usize], self.graph_off[u as usize + 1]);
             let du = scratch.dist[u as usize];
             for &(v, w) in &self.graph_adj[lo as usize..hi as usize] {
-                scratch.relax(v, du + w);
+                scratch.relax(v, du + w, u);
             }
         }
         for &(gid, _) in &dst.portals {
             scratch.dst_mark[gid as usize] = false;
         }
 
-        scratch.pairs.clear();
-        scratch.pairs.extend(dst.portals.iter().map(|&(_, lp)| (lt, lp)));
-        let to_t = dst.oracle.distance_many(&scratch.pairs);
-        let mut best = f64::INFINITY;
+        let mut best: Option<(f64, u32)> = None;
         for (k, &(gid, _)) in dst.portals.iter().enumerate() {
             let via = scratch.dist[gid as usize] + to_t[k];
-            best = best.min(via);
+            if via < best.map_or(f64::INFINITY, |(d, _)| d) {
+                best = Some((via, gid));
+            }
         }
         scratch.reset();
-        best
+        Ok(best)
     }
 
     /// Whether this atlas was built with path support
@@ -795,14 +837,15 @@ impl Atlas {
     /// Answers a distance query *and* reports a route realising it —
     /// the atlas counterpart of [`SeOracle::shortest_path`].
     ///
-    /// `distance` is bit-identical to [`Atlas::distance`]`(s, t)`. The
-    /// polyline is assembled from per-tile Steiner paths: when a shared
-    /// tile answers the query, one in-tile path; otherwise the source leg,
-    /// one leg per portal-graph hop (each reconstructed inside the tile
-    /// whose portal table produced that edge weight), and the destination
-    /// leg, concatenated at the shared portal vertices. Tile sub-meshes
-    /// keep global coordinates, so the result lies on the global surface
-    /// and its length obeys
+    /// `distance` is bit-identical to [`Atlas::distance`]`(s, t)`: both
+    /// come from the same kernel call, whose record of what realised the
+    /// answer drives the polyline. It is assembled from per-tile Steiner
+    /// paths: when a shared tile answers the query, one in-tile path;
+    /// otherwise the source leg, one leg per portal-graph hop (each
+    /// reconstructed inside the tile whose portal table produced that edge
+    /// weight), and the destination leg, concatenated at the shared portal
+    /// vertices. Tile sub-meshes keep global coordinates, so the result
+    /// lies on the global surface and its length obeys
     /// `distance / ((1 + ε)(1 + EPS_ROUTE)) ≤ length ≤ distance × (1 + EPS_PATH)`
     /// under the same engine/portal-density conditions as [`EPS_ROUTE`]
     /// and [`crate::route::EPS_PATH`].
@@ -815,203 +858,84 @@ impl Atlas {
     /// (built with the default distance-only config, or reloaded from a
     /// persisted image).
     pub fn shortest_path(&self, s: usize, t: usize) -> ShortestPath {
-        self.check_sites(s, t);
+        expect_answers(check_range(&[site_pair(s, t)], self.n_sites()));
         // lint: allow(panic, "documented panic contract; persisted atlas images are distance-only by design")
         let paths = self.paths.as_ref().expect(
             "atlas has no path layer; build it with AtlasConfig::path_points_per_edge \
              (persisted atlas images answer distances only)",
         );
-        let (ms, mt) = (&self.site_members[s], &self.site_members[t]);
-        // Direct candidates, argmin-first so ties deterministically keep
-        // the lowest-numbered shared tile; the value matches the min-fold
-        // in `distance_unchecked` exactly.
-        let mut best = f64::INFINITY;
-        let mut direct: Option<(usize, u32, u32)> = None;
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < ms.len() && j < mt.len() {
-            match ms[i].0.cmp(&mt[j].0) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    let tile = ms[i].0 as usize;
-                    let d = self.tile(tile).oracle.distance(ms[i].1 as usize, mt[j].1 as usize);
-                    if d < best {
-                        best = d;
-                        direct = Some((tile, ms[i].1, mt[j].1));
-                    }
-                    i += 1;
-                    j += 1;
+        let mut scratch = RouteScratch::new(self.n_portals);
+        let answer = self.answer(s, t, &mut scratch, &mut ProbeStats::default());
+        let path = answer.and_then(|(distance, via)| {
+            let path = match via {
+                Via::Tile { tile, a, b } => tile_leg(&paths.tiles[tile], a, b),
+                Via::Portals { ls, lt, exit } => {
+                    let ends = ((self.site_home[s] as usize, ls), (self.site_home[t] as usize, lt));
+                    self.portal_route_path(paths, ends, &scratch.chain(exit))?
                 }
-            }
-        }
-        let (hs, ht) = (self.site_home[s], self.site_home[t]);
-        let mut routed: Option<Vec<u32>> = None;
-        let (mut ls, mut lt) = (0u32, 0u32);
-        if hs != ht {
-            ls = local_in(ms, hs);
-            lt = local_in(mt, ht);
-            let mut scratch = RouteScratch::new(self.n_portals);
-            let (d, chain) = self.route_traced(hs as usize, ls, ht as usize, lt, &mut scratch);
-            // Strict `<`: on a tie the direct answer wins, so the choice
-            // is deterministic and the reported distance is the same min.
-            if d < best {
-                best = d;
-                routed = Some(chain);
-            }
-        }
-        assert!(
-            best.is_finite(),
-            "no route between sites {s} and {t} although construction validated \
-             connectivity — the atlas image is corrupt; rebuild it"
-        );
-        let path = match routed {
-            None => {
-                // lint: allow(panic, "invariant: a finite unrouted distance can only come from a shared-tile direct answer")
-                let (tile, a, b) = direct.expect("finite distance implies a shared tile");
-                tile_leg(&paths.tiles[tile], a, b)
-            }
-            Some(chain) => self.portal_route_path(paths, hs as usize, ls, ht as usize, lt, &chain),
-        };
-        ShortestPath { distance: best, path }
-    }
-
-    /// [`Self::route`] with predecessor tracking: returns the routed
-    /// distance (identical bits) plus the portal chain, entry → exit,
-    /// realising it. The chain is empty only when no destination portal is
-    /// reachable (callers treat the infinite distance first).
-    fn route_traced(
-        &self,
-        ts: usize,
-        ls: u32,
-        tt: usize,
-        lt: u32,
-        scratch: &mut RouteScratch,
-    ) -> (f64, Vec<u32>) {
-        let src = self.tile(ts);
-        let dst = self.tile(tt);
-        debug_assert!(scratch.heap.is_empty() && scratch.touched.is_empty());
-
-        // `u32::MAX` = label realised by direct seeding from the source.
-        let mut prev: Vec<u32> = vec![u32::MAX; self.n_portals];
-        scratch.pairs.clear();
-        scratch.pairs.extend(src.portals.iter().map(|&(_, lp)| (ls, lp)));
-        let from_s = src.oracle.distance_many(&scratch.pairs);
-        for (k, &(gid, _)) in src.portals.iter().enumerate() {
-            relax_with_prev(scratch, &mut prev, gid, from_s[k], u32::MAX);
-        }
-        for &(gid, _) in &dst.portals {
-            scratch.dst_mark[gid as usize] = true;
-        }
-        let mut remaining = dst.portals.len();
-        while let Some(Reverse((bits, u))) = scratch.heap.pop() {
-            if bits > scratch.dist[u as usize].to_bits() {
-                continue; // stale entry
-            }
-            if scratch.dst_mark[u as usize] {
-                remaining -= 1;
-                if remaining == 0 {
-                    break;
-                }
-            }
-            let (lo, hi) = (self.graph_off[u as usize], self.graph_off[u as usize + 1]);
-            let du = scratch.dist[u as usize];
-            for &(v, w) in &self.graph_adj[lo as usize..hi as usize] {
-                relax_with_prev(scratch, &mut prev, v, du + w, u);
-            }
-        }
-        for &(gid, _) in &dst.portals {
-            scratch.dst_mark[gid as usize] = false;
-        }
-
-        scratch.pairs.clear();
-        scratch.pairs.extend(dst.portals.iter().map(|&(_, lp)| (lt, lp)));
-        let to_t = dst.oracle.distance_many(&scratch.pairs);
-        let mut best = f64::INFINITY;
-        let mut best_exit: Option<u32> = None;
-        for (k, &(gid, _)) in dst.portals.iter().enumerate() {
-            let via = scratch.dist[gid as usize] + to_t[k];
-            if via < best {
-                best = via;
-                best_exit = Some(gid);
-            }
-        }
-        let mut chain = Vec::new();
-        if let Some(mut p) = best_exit {
-            loop {
-                chain.push(p);
-                match prev[p as usize] {
-                    u32::MAX => break,
-                    q => p = q,
-                }
-            }
-            chain.reverse();
-        }
-        scratch.reset();
-        (best, chain)
+            };
+            Ok(ShortestPath { distance, path })
+        });
+        expect_answers(path)
     }
 
     /// Concatenates the per-tile legs of a portal route into one polyline:
     /// source site → entry portal (home tile), portal → portal (the tile
     /// whose table realised each graph edge), exit portal → target site
     /// (destination tile). Legs join at shared portal vertices, which
-    /// carry identical global coordinates in both tiles.
+    /// carry identical global coordinates in both tiles. `chain` runs
+    /// entry → exit and is never empty.
     fn portal_route_path(
         &self,
         paths: &AtlasPaths,
-        ts: usize,
-        ls: u32,
-        tt: usize,
-        lt: u32,
+        ((ts, ls), (tt, lt)): ((usize, u32), (usize, u32)),
         chain: &[u32],
-    ) -> SurfacePath {
-        // lint: allow(panic, "invariant: a routed answer crosses at least one portal")
-        let entry = chain.first().expect("a routed answer always crosses a portal");
-        // lint: allow(panic, "invariant: chain verified non-empty one line up")
-        let exit = chain.last().expect("non-empty chain");
-        let mut pts = tile_leg(&paths.tiles[ts], ls, self.portal_site_in(ts, *entry)).points;
+    ) -> Result<SurfacePath, QueryError> {
+        let (entry, exit) = (chain[0], chain[chain.len() - 1]);
+        let mut pts = tile_leg(&paths.tiles[ts], ls, self.portal_site_in(ts, entry)?).points;
         for w in chain.windows(2) {
             let (a, b) = (w[0], w[1]);
-            let tile = self.tile_realising_edge(a, b);
+            let tile = self.tile_realising_edge(a, b)?;
             let leg = tile_leg(
                 &paths.tiles[tile],
-                self.portal_site_in(tile, a),
-                self.portal_site_in(tile, b),
+                self.portal_site_in(tile, a)?,
+                self.portal_site_in(tile, b)?,
             );
             append_leg(&mut pts, leg);
         }
-        let last = tile_leg(&paths.tiles[tt], self.portal_site_in(tt, *exit), lt);
+        let last = tile_leg(&paths.tiles[tt], self.portal_site_in(tt, exit)?, lt);
         append_leg(&mut pts, last);
-        SurfacePath::from_points(pts)
+        Ok(SurfacePath::from_points(pts))
     }
 
     /// Local site id of global portal `gid` inside tile `t` (the portal
     /// must belong to the tile).
-    fn portal_site_in(&self, t: usize, gid: u32) -> u32 {
-        let tile = self.tile(t);
+    fn portal_site_in(&self, t: usize, gid: u32) -> Result<u32, QueryError> {
+        let tile = self.tile(t)?;
         let k = tile
             .portals
             .binary_search_by_key(&gid, |&(g, _)| g)
             // lint: allow(panic, "invariant: routes only cross portals of member tiles; a miss means a corrupt image")
             .expect("portal not a member of the tile its route crossed");
-        tile.portals[k].1
+        Ok(tile.portals[k].1)
     }
 
     /// The lowest-numbered tile whose portal table produced the portal
     /// graph edge `a → b` (the dedup in [`build_portal_graph`] keeps the
     /// minimum weight, which is some tile's table entry verbatim, so a
     /// bitwise match always exists).
-    fn tile_realising_edge(&self, a: u32, b: u32) -> usize {
+    fn tile_realising_edge(&self, a: u32, b: u32) -> Result<usize, QueryError> {
         let (lo, hi) = (self.graph_off[a as usize], self.graph_off[a as usize + 1]);
         let row = &self.graph_adj[lo as usize..hi as usize];
         let w =
             // lint: allow(panic, "invariant: the dedup in build_portal_graph keeps some tile's entry verbatim")
             row[row.binary_search_by_key(&b, |&(v, _)| v).expect("edge absent from the graph")].1;
         for t in 0..self.n_tiles() {
-            let tile = self.tile(t);
+            let tile = self.tile(t)?;
             let Ok(pi) = tile.portals.binary_search_by_key(&a, |&(g, _)| g) else { continue };
             let Ok(pj) = tile.portals.binary_search_by_key(&b, |&(g, _)| g) else { continue };
             if tile.portal_table[pi * tile.portals.len() + pj].to_bits() == w.to_bits() {
-                return t;
+                return Ok(t);
             }
         }
         unreachable!("portal graph edge {a} → {b} not realised by any tile table");
@@ -1023,38 +947,49 @@ impl Atlas {
     /// the atlas metric and the same `(via-length, site)` ordering.
     ///
     /// The atlas has no global partition tree to prune with, so this is
-    /// the exact dual sweep (two atlas queries per site) over a reused
-    /// scratch; results are exact by construction and bit-identical across
-    /// thread counts. Needs no path layer.
+    /// the exact dual sweep: one batch from `s` to every site, then one
+    /// back to `t` from the sites still within budget. Results are exact
+    /// by construction and bit-identical across thread counts. Needs no
+    /// path layer.
     ///
     /// # Panics
     /// Panics if an id is out of range or `delta` is negative or
     /// non-finite.
     pub fn pois_within_detour(&self, s: usize, t: usize, delta: f64) -> Vec<DetourPoi> {
-        self.check_sites(s, t);
+        let d_st = self.distance(s, t);
         assert!(
             delta >= 0.0 && delta.is_finite(),
             "detour budget must be finite and non-negative, got {delta}"
         );
-        let mut scratch = RouteScratch::new(self.n_portals);
-        let budget = self.distance_unchecked(s, t, &mut scratch) + delta;
-        let mut out = Vec::new();
-        for p in 0..self.n_sites() {
-            if p == s || p == t {
-                continue;
-            }
-            let from_s = self.distance_unchecked(s, p, &mut scratch);
-            if from_s > budget {
-                continue; // via-length can only be larger still
-            }
-            let to_t = self.distance_unchecked(p, t, &mut scratch);
-            if from_s + to_t <= budget {
-                out.push(DetourPoi { site: p, from_s, to_t });
-            }
-        }
+        let budget = d_st + delta;
+        let (s32, t32) = site_pair(s, t);
+        let others: Vec<u32> =
+            (0..self.n_sites() as u32).filter(|&p| p != s32 && p != t32).collect();
+        let from_s = self.distance_many(&others.iter().map(|&p| (s32, p)).collect::<Vec<_>>());
+        // The via-length can only grow past a site already over budget.
+        let near: Vec<(u32, f64)> =
+            others.into_iter().zip(from_s).filter(|&(_, d)| d <= budget).collect();
+        let to_t = self.distance_many(&near.iter().map(|&(p, _)| (p, t32)).collect::<Vec<_>>());
+        let mut out: Vec<DetourPoi> = near
+            .into_iter()
+            .zip(to_t)
+            .filter(|&((_, from_s), to_t)| from_s + to_t <= budget)
+            .map(|((p, from_s), to_t)| DetourPoi { site: p as usize, from_s, to_t })
+            .collect();
         out.sort_by(|a, b| a.via().total_cmp(&b.via()).then(a.site.cmp(&b.site)));
         out
     }
+}
+
+/// What realised an atlas answer.
+#[derive(Debug, Clone, Copy)]
+enum Via {
+    /// A tile holding both sites answered directly, from local sites
+    /// `a` and `b`.
+    Tile { tile: usize, a: u32, b: u32 },
+    /// A portal route from local site `ls` of the source's home tile to
+    /// `lt` of the target's, leaving the portal graph at `exit`.
+    Portals { ls: u32, lt: u32, exit: u32 },
 }
 
 /// Shortest in-tile Steiner path between two tile-local sites,
@@ -1079,33 +1014,11 @@ fn append_leg(pts: &mut Vec<terrain::Vec3>, leg: SurfacePath) {
     pts.extend(leg.points.into_iter().skip(usize::from(dup)));
 }
 
-/// [`RouteScratch::relax`] that additionally records which portal (or the
-/// seeding source, `u32::MAX`) realised each improvement — the traced
-/// variant used by path reconstruction. Must mirror `relax` exactly so
-/// traced and untraced routing settle identically.
+/// The local site id of home tile `tile` in a membership list (present
+/// in every validated image; `None` only for a corrupt one).
 #[inline]
-fn relax_with_prev(scratch: &mut RouteScratch, prev: &mut [u32], p: u32, d: f64, from: u32) {
-    let slot = &mut scratch.dist[p as usize];
-    if d < *slot {
-        if slot.is_infinite() {
-            scratch.touched.push(p);
-        }
-        *slot = d;
-        scratch.heap.push(Reverse((d.to_bits(), p)));
-        prev[p as usize] = from;
-    }
-}
-
-/// The local site id of home tile `tile` in a membership list (always
-/// present by construction).
-#[inline]
-fn local_in(members: &[(u32, u32)], tile: u32) -> u32 {
-    members
-        .iter()
-        .find(|&&(t, _)| t == tile)
-        // lint: allow(panic, "invariant: every site's membership list contains its home tile")
-        .expect("home tile missing from site membership list")
-        .1
+fn local_in(members: &[(u32, u32)], tile: u32) -> Option<u32> {
+    members.iter().find(|&&(t, _)| t == tile).map(|&(_, local)| local)
 }
 
 impl fmt::Debug for Atlas {
@@ -1119,11 +1032,19 @@ impl fmt::Debug for Atlas {
     }
 }
 
+/// Predecessor of a portal label realised by seeding from the source
+/// site rather than by a graph edge.
+const SEEDED: u32 = u32::MAX;
+
 /// Dijkstra + endpoint-leg scratch, reused across a batch (allocated once,
 /// fully reset after every query).
 struct RouteScratch {
     /// Tentative portal distances, `INFINITY` when untouched.
     dist: Vec<f64>,
+    /// The portal (or [`SEEDED`]) whose relaxation set each label. Only
+    /// entries of the current query's touched portals are meaningful, so
+    /// it needs no reset.
+    prev: Vec<u32>,
     /// Portals whose `dist` entry needs resetting.
     touched: Vec<u32>,
     /// Min-heap on `(distance bits, portal id)` — non-negative finite
@@ -1142,6 +1063,7 @@ impl RouteScratch {
     fn new(n_portals: usize) -> Self {
         Self {
             dist: vec![f64::INFINITY; n_portals],
+            prev: vec![SEEDED; n_portals],
             touched: Vec::new(),
             heap: BinaryHeap::new(),
             pairs: Vec::new(),
@@ -1150,7 +1072,7 @@ impl RouteScratch {
     }
 
     #[inline]
-    fn relax(&mut self, p: u32, d: f64) {
+    fn relax(&mut self, p: u32, d: f64, from: u32) {
         let slot = &mut self.dist[p as usize];
         if d < *slot {
             if slot.is_infinite() {
@@ -1158,6 +1080,7 @@ impl RouteScratch {
             }
             *slot = d;
             self.heap.push(Reverse((d.to_bits(), p)));
+            self.prev[p as usize] = from;
         }
     }
 
@@ -1167,6 +1090,20 @@ impl RouteScratch {
         }
         self.touched.clear();
         self.heap.clear();
+    }
+
+    /// The portal chain, entry → `exit`, of the last route that left the
+    /// graph through `exit`: settled labels' predecessors lead back to a
+    /// seeded portal.
+    fn chain(&self, exit: u32) -> Vec<u32> {
+        let mut chain = vec![exit];
+        let mut p = exit;
+        while self.prev[p as usize] != SEEDED {
+            p = self.prev[p as usize];
+            chain.push(p);
+        }
+        chain.reverse();
+        chain
     }
 }
 
@@ -1242,7 +1179,8 @@ fn build_portal_graph(tiles: &[PortalView<'_>], n_portals: usize) -> (Vec<u32>, 
 }
 
 /// A cheaply clonable, `Send + Sync`, read-only view of a built [`Atlas`]
-/// — the atlas twin of [`crate::serve::QueryHandle`]. Cloning copies one
+/// — the atlas twin of [`crate::serve::QueryHandle`]. It derefs to the
+/// atlas, so every query is called through it. Cloning copies one
 /// [`Arc`]; every clone answers every query bit-identically.
 #[derive(Clone)]
 pub struct AtlasHandle {
@@ -1255,92 +1193,17 @@ impl AtlasHandle {
         Self { atlas: Arc::new(atlas) }
     }
 
-    /// Wraps an atlas that is already shared.
-    pub fn from_arc(atlas: Arc<Atlas>) -> Self {
-        Self { atlas }
-    }
-
-    /// The underlying atlas.
+    /// The underlying atlas (also reachable through `Deref`).
     pub fn atlas(&self) -> &Atlas {
         &self.atlas
     }
+}
 
-    /// Number of sites indexed.
-    pub fn n_sites(&self) -> usize {
-        self.atlas.n_sites()
-    }
+impl Deref for AtlasHandle {
+    type Target = Atlas;
 
-    /// The error parameter ε.
-    pub fn epsilon(&self) -> f64 {
-        self.atlas.epsilon()
-    }
-
-    /// See [`Atlas::distance`].
-    pub fn distance(&self, s: usize, t: usize) -> f64 {
-        self.atlas.distance(s, t)
-    }
-
-    /// See [`Atlas::try_distance`].
-    pub fn try_distance(&self, s: usize, t: usize) -> Option<f64> {
-        self.atlas.try_distance(s, t)
-    }
-
-    /// See [`Atlas::distance_many`].
-    pub fn distance_many(&self, pairs: &[(u32, u32)]) -> Vec<f64> {
-        self.atlas.distance_many(pairs)
-    }
-
-    /// See [`Atlas::try_distance_many`].
-    pub fn try_distance_many(&self, pairs: &[(u32, u32)]) -> Vec<Option<f64>> {
-        self.atlas.try_distance_many(pairs)
-    }
-
-    /// [`Atlas::distance_many`] sharded across `threads` pool workers
-    /// (`0` = auto-detect): results in input order, bit-identical for
-    /// every thread count, each shard with its own routing scratch. An
-    /// empty slice returns immediately without touching the pool.
-    ///
-    /// Panics exactly as [`Atlas::distance_many`] does — validated up
-    /// front so the panic fires on the caller's thread.
-    pub fn distance_many_par(&self, pairs: &[(u32, u32)], threads: usize) -> Vec<f64> {
-        if pairs.is_empty() {
-            return Vec::new();
-        }
-        self.atlas.check_pairs(pairs);
-        shard_pairs(pairs, threads, |chunk| {
-            let mut scratch = RouteScratch::new(self.atlas.n_portals);
-            chunk
-                .iter()
-                .map(|&(s, t)| self.atlas.distance_unchecked(s as usize, t as usize, &mut scratch))
-                .collect()
-        })
-    }
-
-    /// [`Atlas::try_distance_many`] sharded across `threads` pool workers
-    /// (`0` = auto-detect), element-for-element equal to the sequential
-    /// call, with the same immediate empty-slice return.
-    pub fn try_distance_many_par(&self, pairs: &[(u32, u32)], threads: usize) -> Vec<Option<f64>> {
-        if pairs.is_empty() {
-            return Vec::new();
-        }
-        shard_pairs(pairs, threads, |chunk| self.atlas.try_distance_many(chunk))
-    }
-
-    /// Whether the shared atlas carries a path layer
-    /// ([`Atlas::has_paths`]).
-    pub fn has_paths(&self) -> bool {
-        self.atlas.has_paths()
-    }
-
-    /// See [`Atlas::shortest_path`]. Pure per query — bit-identical across
-    /// clones and thread counts, portal routes included.
-    pub fn shortest_path(&self, s: usize, t: usize) -> ShortestPath {
-        self.atlas.shortest_path(s, t)
-    }
-
-    /// See [`Atlas::pois_within_detour`].
-    pub fn pois_within_detour(&self, s: usize, t: usize, delta: f64) -> Vec<DetourPoi> {
-        self.atlas.pois_within_detour(s, t, delta)
+    fn deref(&self) -> &Atlas {
+        &self.atlas
     }
 }
 
@@ -1349,21 +1212,9 @@ impl fmt::Debug for AtlasHandle {
         f.debug_struct("AtlasHandle")
             .field("n_sites", &self.n_sites())
             .field("epsilon", &self.epsilon())
-            .field("n_tiles", &self.atlas.n_tiles())
-            .field("n_portals", &self.atlas.n_portals())
+            .field("n_tiles", &self.n_tiles())
+            .field("n_portals", &self.n_portals())
             .finish()
-    }
-}
-
-impl From<Atlas> for AtlasHandle {
-    fn from(atlas: Atlas) -> Self {
-        Self::new(atlas)
-    }
-}
-
-impl From<Arc<Atlas>> for AtlasHandle {
-    fn from(atlas: Arc<Atlas>) -> Self {
-        Self::from_arc(atlas)
     }
 }
 
@@ -1485,18 +1336,30 @@ mod tests {
     }
 
     #[test]
-    fn try_variants_flag_out_of_range() {
-        let (a, _, sites) = atlas(10, 9, 0.25);
-        let h = AtlasHandle::new(a);
+    fn checked_kernel_types_failures() {
+        let (mut a, _, sites) = atlas(10, 9, 0.25);
         let n = sites.len() as u32;
-        let pairs = [(0, 1), (n, 0), (0, n), (u32::MAX, 0), (2, 3)];
-        let got = h.try_distance_many(&pairs);
-        let want: Vec<Option<f64>> =
-            pairs.iter().map(|&(s, t)| h.try_distance(s as usize, t as usize)).collect();
-        assert_eq!(got, want);
-        assert!(got[1].is_none() && got[2].is_none() && got[3].is_none());
-        assert!(got[0].is_some() && got[4].is_some());
-        assert_eq!(h.try_distance_many_par(&pairs, 2), want);
+        assert_eq!(
+            a.distance_many_checked_with_stats(&[(0, 1), (u32::MAX, 0), (0, n)]),
+            Err(QueryError::SiteOutOfRange { index: 1, site: u32::MAX, n_sites: n as usize })
+        );
+        let pairs = [(0, 1), (2, 3), (3, 3)];
+        let (got, stats) = a.distance_many_checked_with_stats(&pairs).unwrap();
+        assert_eq!(got, a.distance_many(&pairs));
+        assert!(stats.probes >= pairs.len() as u64, "tile legs must report their probes");
+
+        // A site whose home tile is missing from its memberships — only a
+        // corrupt image says so — fails its cross-tile pairs with NoRoute.
+        let (s, t) = (0..sites.len())
+            .flat_map(|s| (0..sites.len()).map(move |t| (s, t)))
+            .find(|&(s, t)| a.is_cross_tile(s, t))
+            .unwrap();
+        let home = a.site_home[s];
+        a.site_members[s].retain(|&(tile, _)| tile != home);
+        assert_eq!(
+            a.distance_many_checked_with_stats(&[(s as u32, t as u32)]),
+            Err(QueryError::NoRoute { s, t })
+        );
     }
 
     #[test]
@@ -1524,7 +1387,7 @@ mod tests {
                 .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
                 .unwrap_or_default();
             assert!(
-                msg.contains("out of range") && msg.contains("try_distance"),
+                msg.contains("out of range") && msg.contains("distance_many_checked_with_stats"),
                 "{what}: panic message not actionable: {msg}"
             );
         }
@@ -1535,9 +1398,9 @@ mod tests {
         let (a, _, _) = atlas(6, 13, 0.3);
         let h = AtlasHandle::new(a);
         assert!(h.distance_many(&[]).is_empty());
-        assert!(h.try_distance_many(&[]).is_empty());
+        assert_eq!(h.distance_many_checked_with_stats(&[]), Ok((vec![], ProbeStats::default())));
         assert!(h.distance_many_par(&[], 0).is_empty());
-        assert!(h.try_distance_many_par(&[], 7).is_empty());
+        assert!(h.distance_many_par(&[], 7).is_empty());
     }
 
     #[test]

@@ -37,8 +37,9 @@
 //!   from one `SEAT` image behind a clock-free LRU with a resident-byte
 //!   budget;
 //! * [`serve`] — the query-serving layer: [`serve::QueryHandle`] (a
-//!   shared, `Send + Sync` read-only view), batch distance queries, and a
-//!   pool-sharded multi-threaded batch driver;
+//!   shared, `Send + Sync` read-only view that derefs to the oracle) and
+//!   the pool-sharded batch driver behind both backends'
+//!   `distance_many_par`;
 //! * [`atlas`] — the terrain atlas: tiled per-piece oracles with a portal
 //!   graph routing cross-tile queries (the scaling layer past one
 //!   monolithic construction);
@@ -96,8 +97,7 @@ pub use atlas::{Atlas, AtlasConfig, AtlasError, AtlasHandle};
 pub use ctree::CompressedTree;
 pub use dynamic::{DynamicError, DynamicOracle, SubsetSpace};
 pub use oracle::{
-    BuildConfig, BuildError, BuildStats, ConstructionMethod, ProbeStats, QueryError, QueryStats,
-    SeOracle,
+    BuildConfig, BuildError, BuildStats, ConstructionMethod, ProbeStats, QueryError, SeOracle,
 };
 pub use p2p::{EngineKind, P2PError, P2POracle};
 pub use persist::PersistError;

@@ -107,61 +107,24 @@ impl Backend {
         }
     }
 
-    /// Batch distances with every failure mode contained: typed errors
-    /// from the checked oracle path, and a panic fence around the atlas
-    /// path (whose internal expects assume a well-formed image — bytes
-    /// from disk must not crash a serving process). Successful answers
-    /// carry per-batch [`ProbeStats`] (zero for the atlas backend, which
-    /// has no probe counters).
+    /// Batch distances through the backend's checked kernel: typed errors
+    /// map through [`error_code`], and a panic fence stays around the call
+    /// as defence in depth (bytes from disk must not crash a serving
+    /// process). Successful answers carry per-batch [`ProbeStats`].
     fn distances(
         &self,
         pairs: &[(u32, u32)],
     ) -> Result<(Vec<f64>, ProbeStats), (ErrorCode, String)> {
-        match self {
-            Backend::Oracle(h) => {
-                let handle = h.clone();
-                let run = AssertUnwindSafe(move || {
-                    handle.oracle().distance_many_checked_with_stats(pairs)
-                });
-                match catch_unwind(run) {
-                    Ok(Ok(d)) => Ok(d),
-                    Ok(Err(e @ QueryError::SiteOutOfRange { .. })) => {
-                        Err((ErrorCode::SiteOutOfRange, e.to_string()))
-                    }
-                    Ok(Err(e @ QueryError::NoCoveringPair { .. })) => {
-                        Err((ErrorCode::CorruptImage, e.to_string()))
-                    }
-                    Err(_) => Err((
-                        ErrorCode::CorruptImage,
-                        "oracle query panicked; the image is corrupt".to_string(),
-                    )),
-                }
-            }
-            Backend::Atlas(h) => {
-                let handle = h.clone();
-                let run = AssertUnwindSafe(move || handle.try_distance_many(pairs));
-                match catch_unwind(run) {
-                    Ok(answers) => {
-                        let mut out = Vec::with_capacity(answers.len());
-                        for (i, a) in answers.into_iter().enumerate() {
-                            match a {
-                                Some(d) => out.push(d),
-                                None => {
-                                    return Err((
-                                        ErrorCode::SiteOutOfRange,
-                                        format!("pair #{i}: site id out of range"),
-                                    ));
-                                }
-                            }
-                        }
-                        Ok((out, ProbeStats::default()))
-                    }
-                    Err(_) => Err((
-                        ErrorCode::CorruptImage,
-                        "atlas query panicked; the image is corrupt".to_string(),
-                    )),
-                }
-            }
+        let run = || match self {
+            Backend::Oracle(h) => h.distance_many_checked_with_stats(pairs),
+            Backend::Atlas(h) => h.distance_many_checked_with_stats(pairs),
+        };
+        match catch_unwind(AssertUnwindSafe(run)) {
+            Ok(answers) => answers.map_err(|e| (error_code(&e), e.to_string())),
+            Err(_) => Err((
+                ErrorCode::CorruptImage,
+                "distance query panicked; the image is corrupt".to_string(),
+            )),
         }
     }
 
@@ -181,6 +144,18 @@ impl Backend {
                 "path query panicked; the image is corrupt".to_string(),
             )),
         }
+    }
+}
+
+/// The one `QueryError → ErrorCode` table, for both image kinds: an
+/// out-of-range id is the client's mistake; every other failure means the
+/// served image (or an out-of-core atlas's backing file) is bad.
+fn error_code(e: &QueryError) -> ErrorCode {
+    match e {
+        QueryError::SiteOutOfRange { .. } => ErrorCode::SiteOutOfRange,
+        QueryError::NoCoveringPair { .. }
+        | QueryError::NoRoute { .. }
+        | QueryError::TileUnavailable { .. } => ErrorCode::CorruptImage,
     }
 }
 
@@ -502,7 +477,7 @@ fn handle_frame(payload: &[u8], sh: &Arc<Shared>, tx: &mpsc::Sender<Vec<u8>>) ->
             // An out-of-core atlas keeps its residency counters in the
             // tile store's registry; append them so one scrape sees both.
             if let Backend::Atlas(h) = &sh.backend {
-                if let Some(store) = h.atlas().tile_store() {
+                if let Some(store) = h.tile_store() {
                     text.push_str(&store.registry().expose());
                 }
             }
@@ -646,18 +621,26 @@ fn run_batch(sh: &Arc<Shared>, batch: Vec<Job>, total_pairs: usize) {
                     }
                     // The coalesced call failed: retry this request alone
                     // so only the offending request errors, not the whole
-                    // batch.
-                    Err(_) => match sh.backend.distances(pairs) {
-                        Ok((d, ps)) => {
-                            sh.stats.probe_pairs.add(ps.probes);
-                            sh.stats.scratch_hits.add(ps.scratch_hits);
-                            Response::Distances { id: *id, distances: d }
+                    // batch (a request that was the whole batch already
+                    // has its answer).
+                    Err(e) => {
+                        let solo = if pairs.len() == concat.len() {
+                            Err(e.clone())
+                        } else {
+                            sh.backend.distances(pairs)
+                        };
+                        match solo {
+                            Ok((d, ps)) => {
+                                sh.stats.probe_pairs.add(ps.probes);
+                                sh.stats.scratch_hits.add(ps.scratch_hits);
+                                Response::Distances { id: *id, distances: d }
+                            }
+                            Err((code, message)) => {
+                                sh.stats.errors.inc();
+                                Response::Error { id: *id, code, message }
+                            }
                         }
-                        Err((code, message)) => {
-                            sh.stats.errors.inc();
-                            Response::Error { id: *id, code, message }
-                        }
-                    },
+                    }
                 };
                 let _ = reply.send(encode_response(&resp));
             }

@@ -39,7 +39,8 @@ pub(crate) struct Counters {
     pub(crate) malformed: Arc<Counter>,
     pub(crate) errors: Arc<Counter>,
     /// Node-pair hash probes performed by oracle batch answers
-    /// (`ProbeStats::probes` summed per batch; 0 for atlas backends).
+    /// (`ProbeStats::probes` summed per batch; for atlases, over every
+    /// tile-oracle leg).
     pub(crate) probe_pairs: Arc<Counter>,
     /// Layer-array scratch-slot hits from the same answers.
     pub(crate) scratch_hits: Arc<Counter>,

@@ -3,13 +3,13 @@
 // lint: query-path
 use crate::ctree::CompressedTree;
 use crate::enhanced::{EnhancedEdges, EnhancedResolver};
+use crate::serve::shard_pairs;
 use crate::tree::{PartitionTree, SelectionStrategy, TreeError, NO_NODE};
 use crate::wspd::{self, PairDistanceResolver};
 use geodesic::cache::CachingSiteSpace;
 use geodesic::sitespace::SiteSpace;
 use phash::{pair_key, PerfectMap};
-// lint: allow(d2, "timing types for build stats; wall-clock never feeds oracle data")
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How node-pair distances are obtained during construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -147,9 +147,11 @@ impl BuildStats {
     }
 }
 
-/// Typed failure of a checked query ([`SeOracle::distance_many_checked`])
-/// — what a serving process reports instead of panicking when a request or
-/// a persisted image turns out to be invalid.
+/// Typed failure of a query — what the checked kernels
+/// ([`SeOracle::distance_many_checked_with_stats`],
+/// [`crate::atlas::Atlas::distance_many_checked_with_stats`]) report
+/// instead of panicking when a request or a persisted image turns out to
+/// be invalid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryError {
     /// A pair referenced a site id outside `0..n_sites`.
@@ -158,17 +160,34 @@ pub enum QueryError {
         index: usize,
         /// The out-of-range id.
         site: u32,
-        /// Number of sites the oracle covers.
+        /// Number of sites the image covers.
         n_sites: usize,
     },
     /// No stored node pair covers `(s, t)` — the unique-node-pair-match
     /// property (Theorem 1) is violated, which only a corrupt or hostile
-    /// persisted image can produce.
+    /// persisted image can produce (for an atlas: in one of the tile
+    /// oracles answering the pair).
     NoCoveringPair {
         /// First site of the uncovered query.
         s: usize,
         /// Second site of the uncovered query.
         t: usize,
+    },
+    /// An atlas found neither a tile holding both sites nor a portal
+    /// route between them. Construction and loading validate that every
+    /// tile pair routes, so only a corrupt image gets here.
+    NoRoute {
+        /// First site of the query.
+        s: usize,
+        /// Second site of the query.
+        t: usize,
+    },
+    /// An out-of-core atlas could not read or decode tile `tile` from its
+    /// backing file, which changed after it was opened. Nothing is cached
+    /// for the failure: the next query that needs the tile reads it again.
+    TileUnavailable {
+        /// The tile whose segment failed.
+        tile: usize,
     },
 }
 
@@ -177,12 +196,23 @@ impl std::fmt::Display for QueryError {
         match self {
             QueryError::SiteOutOfRange { index, site, n_sites } => write!(
                 f,
-                "pair #{index}: site id {site} out of range for an oracle over {n_sites} sites"
+                "pair #{index}: site id {site} out of range for an image over {n_sites} sites \
+                 (valid ids are 0..{n_sites})"
             ),
             QueryError::NoCoveringPair { s, t } => write!(
                 f,
                 "no stored node pair covers sites ({s}, {t}) — corrupt oracle image \
                  (Theorem 1 violated); rebuild the image"
+            ),
+            QueryError::NoRoute { s, t } => write!(
+                f,
+                "no tile or portal route joins sites ({s}, {t}) — corrupt atlas image; \
+                 rebuild the image"
+            ),
+            QueryError::TileUnavailable { tile } => write!(
+                f,
+                "tile {tile} is unavailable: its segment no longer reads or decodes from the \
+                 backing image, which changed after it was opened"
             ),
         }
     }
@@ -190,25 +220,58 @@ impl std::fmt::Display for QueryError {
 
 impl std::error::Error for QueryError {}
 
-/// Per-query counters (for the `O(h)` vs `O(h²)` ablation).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueryStats {
-    /// Node pairs probed in the hash.
-    pub pairs_checked: u32,
-}
-
-/// Per-batch probe counters from
-/// [`SeOracle::distance_many_checked_with_stats`] — pure counts (no
-/// timing), so the serving path can feed a metrics registry without
-/// violating the no-clocks query contract.
+/// Probe counters of a query batch — pure counts (no timing), so the
+/// serving path can feed a metrics registry without violating the
+/// no-clocks query contract. Also the measure of the `O(h)` vs `O(h²)`
+/// query ablation ([`SeOracle::distance_naive`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProbeStats {
-    /// Node-pair hash probes performed across the whole batch.
+    /// Node-pair hash probes performed across the whole batch (for an
+    /// atlas: across every tile-oracle leg).
     pub probes: u64,
     /// Endpoints whose layer array was already resident in the two-slot
     /// scratch memo (always 0 on the dense path, which precomputes every
     /// array up front).
     pub scratch_hits: u64,
+}
+
+impl std::ops::AddAssign for ProbeStats {
+    fn add_assign(&mut self, other: ProbeStats) {
+        self.probes += other.probes;
+        self.scratch_hits += other.scratch_hits;
+    }
+}
+
+/// Converts a single-pair query's ids to the kernels' `u32` ids. An id
+/// above `u32::MAX` saturates to `u32::MAX`, which no image covers (site
+/// ids are stored as `u32`), so it is reported out of range instead of
+/// wrapping into range.
+pub(crate) fn site_pair(s: usize, t: usize) -> (u32, u32) {
+    let id = |x: usize| u32::try_from(x).unwrap_or(u32::MAX);
+    (id(s), id(t))
+}
+
+/// The kernels' range check: the first pair naming a site outside
+/// `0..n_sites` is the error.
+pub(crate) fn check_range(pairs: &[(u32, u32)], n_sites: usize) -> Result<(), QueryError> {
+    let out = |x: u32| x as usize >= n_sites;
+    match pairs.iter().position(|&(s, t)| out(s) || out(t)) {
+        None => Ok(()),
+        Some(index) => {
+            let (s, t) = pairs[index];
+            Err(QueryError::SiteOutOfRange { index, site: if out(s) { s } else { t }, n_sites })
+        }
+    }
+}
+
+/// The one panic site of both backends' panicking query wrappers
+/// (`distance`, `distance_many`, `distance_many_par`, …): their documented
+/// panic is whatever error the checked kernel would have returned.
+pub(crate) fn expect_answers<T>(answers: Result<T, QueryError>) -> T {
+    answers.unwrap_or_else(|e| {
+        // lint: allow(panic, "documented panic contract of the unchecked query wrappers; distance_many_checked_with_stats is the typed alternative")
+        panic!("{e}; use distance_many_checked_with_stats for a typed error instead of a panic")
+    })
 }
 
 /// The Space-Efficient ε-approximate geodesic distance oracle.
@@ -230,9 +293,7 @@ impl SeOracle {
         if !(eps > 0.0 && eps.is_finite()) {
             return Err(BuildError::InvalidEpsilon(eps));
         }
-        // lint: allow(d2, "build timing recorded in BuildStats only; never feeds the oracle image")
-        let t_start = Instant::now();
-        let span_build = obs::trace::span("build", "build");
+        let span_build = obs::trace::timed("build", "build");
         let mut stats = BuildStats::default();
         let workers = cfg.resolved_threads();
         stats.workers = workers;
@@ -246,14 +307,12 @@ impl SeOracle {
         // unchanged.
         let space = CachingSiteSpace::new(space);
 
-        // Step 1: partition tree + compressed partition tree.
-        // lint: allow(d2, "phase timing lands in BuildStats only; never in oracle data")
-        let t = Instant::now();
-        let span_tree = obs::trace::span("build", "tree");
+        // Step 1: partition tree + compressed partition tree. Phase
+        // durations come from the `build/*` trace spans.
+        let span_tree = obs::trace::timed("build", "tree");
         let (org, tree_stats) = PartitionTree::build_with(&space, cfg.strategy, cfg.seed, workers)?;
         let ctree = CompressedTree::from_partition_tree(&org);
-        drop(span_tree);
-        stats.tree = t.elapsed();
+        stats.tree = span_tree.finish();
         stats.ssad_runs += tree_stats.ssad_runs;
         stats.org_nodes = org.nodes.len();
         stats.compressed_nodes = ctree.n_nodes();
@@ -263,21 +322,15 @@ impl SeOracle {
         // Steps 2–4: node pair set, with distances resolved per the method.
         let set = match cfg.method {
             ConstructionMethod::Efficient => {
-                // lint: allow(d2, "phase timing lands in BuildStats only; never in oracle data")
-                let t = Instant::now();
-                let span_enh = obs::trace::span("build", "enhanced-edges");
+                let span_enh = obs::trace::timed("build", "enhanced-edges");
                 let edges = EnhancedEdges::build(&org, &space, eps, workers, cfg.seed);
-                drop(span_enh);
-                stats.enhanced = t.elapsed();
+                stats.enhanced = span_enh.finish();
                 stats.ssad_runs += edges.ssad_runs;
 
-                // lint: allow(d2, "phase timing lands in BuildStats only; never in oracle data")
-                let t = Instant::now();
-                let span_pairs = obs::trace::span("build", "pair-gen");
+                let span_pairs = obs::trace::timed("build", "pair-gen");
                 let mut resolver = EnhancedResolver::new(&org, &edges, &space);
                 let set = wspd::generate(&ctree, eps, &mut resolver);
-                drop(span_pairs);
-                stats.pair_gen = t.elapsed();
+                stats.pair_gen = span_pairs.finish();
                 stats.resolver_fallbacks = resolver.fallbacks;
                 stats.ssad_runs += resolver.fallbacks;
                 set
@@ -293,13 +346,10 @@ impl SeOracle {
                         self.space.distance(a, b)
                     }
                 }
-                // lint: allow(d2, "phase timing lands in BuildStats only; never in oracle data")
-                let t = Instant::now();
-                let span_pairs = obs::trace::span("build", "pair-gen");
+                let span_pairs = obs::trace::timed("build", "pair-gen");
                 let mut resolver = Ssad { space: &space, runs: 0 };
                 let set = wspd::generate(&ctree, eps, &mut resolver);
-                drop(span_pairs);
-                stats.pair_gen = t.elapsed();
+                stats.pair_gen = span_pairs.finish();
                 stats.ssad_runs += resolver.runs;
                 set
             }
@@ -313,8 +363,7 @@ impl SeOracle {
         let cache = space.stats();
         stats.cache_hits = cache.hits;
         stats.cache_misses = cache.misses;
-        stats.total = t_start.elapsed();
-        drop(span_build);
+        stats.total = span_build.finish();
         stats.record_to(obs::global());
 
         Ok(Self { eps, ctree, pairs, stats })
@@ -379,231 +428,119 @@ impl SeOracle {
     }
 
     /// ε-approximate geodesic distance between sites `s` and `t` — the
-    /// paper's efficient `O(h)` query.
+    /// paper's efficient `O(h)` query, as one pair through
+    /// [`Self::distance_many_checked_with_stats`].
     ///
-    /// Panics when either site id is out of range; use
-    /// [`Self::try_distance`] for a checked variant.
+    /// Panics when either site id is out of range or the image is
+    /// corrupt; the checked kernel reports both as a [`QueryError`].
     pub fn distance(&self, s: usize, t: usize) -> f64 {
-        self.distance_with_stats(s, t).0
-    }
-
-    /// Checked query: `None` when either site id is out of range, otherwise
-    /// identical to [`Self::distance`].
-    pub fn try_distance(&self, s: usize, t: usize) -> Option<f64> {
-        let n = self.n_sites();
-        (s < n && t < n).then(|| self.distance(s, t))
+        self.distance_many(&[site_pair(s, t)])[0]
     }
 
     /// Batch query: the distance of every pair, in input order, each
-    /// bit-identical to the corresponding [`Self::distance`] call.
-    ///
-    /// One `distance` call spends a large share of its ~hundreds of
-    /// nanoseconds materializing the two layer arrays (a heap allocation
-    /// and root-path walk per endpoint). The batch amortizes that: small
-    /// batches reuse a two-slot scratch (no allocation per pair; runs
-    /// sharing an endpoint in either role recompute nothing), and batches
-    /// with at least as many pairs as the oracle has sites switch to a
-    /// dense table of **all** layer arrays — one tree pass, then every
-    /// pair is pure hash probes. The dense table is `n·(h+1)·4` bytes,
-    /// which the `pairs.len() ≥ n` gate keeps proportional to the batch
-    /// itself.
-    ///
-    /// Panics when any pair is out of range (the message names the first
-    /// offending pair); use [`Self::try_distance_many`] for a checked
-    /// variant.
+    /// bit-identical to the corresponding [`Self::distance`] call — the
+    /// checked kernel's answers, panicking where it returns an error (the
+    /// message names the first offending pair).
     pub fn distance_many(&self, pairs: &[(u32, u32)]) -> Vec<f64> {
-        self.check_pairs(pairs);
-        if pairs.len() >= self.n_sites() {
-            self.distance_many_dense(pairs, &self.dense_layers())
-        } else {
-            let mut scratch = LayerScratch::default();
-            pairs
-                .iter()
-                .map(|&(s, t)| {
-                    let (s, t) = (s as usize, t as usize);
-                    let (i, j) = scratch.pair_slots(&self.ctree, s, t);
-                    self.probe(s, t, &scratch.arrays[i], &scratch.arrays[j]).0
-                })
-                .collect()
-        }
+        expect_answers(self.distance_many_checked_with_stats(pairs)).0
     }
 
-    /// Checked batch query: element `i` is `Some(distance(pairs[i]))`, or
-    /// `None` when either id of `pairs[i]` is out of range — exactly what
-    /// mapping [`Self::try_distance`] over the slice returns, with the
-    /// same amortization as [`Self::distance_many`].
-    pub fn try_distance_many(&self, pairs: &[(u32, u32)]) -> Vec<Option<f64>> {
-        if pairs.len() >= self.n_sites() {
-            self.try_distance_many_dense(pairs, &self.dense_layers())
-        } else {
-            let n = self.n_sites();
-            let mut scratch = LayerScratch::default();
-            pairs
-                .iter()
-                .map(|&(s, t)| {
-                    let (s, t) = (s as usize, t as usize);
-                    (s < n && t < n).then(|| {
-                        let (i, j) = scratch.pair_slots(&self.ctree, s, t);
-                        self.probe(s, t, &scratch.arrays[i], &scratch.arrays[j]).0
-                    })
-                })
-                .collect()
-        }
-    }
-
-    /// Fully checked batch query for serving **untrusted or persisted**
-    /// images: every failure mode is a typed error, never a panic.
+    /// The query kernel: every failure mode is a typed error, never a
+    /// panic, so this is the entry point for **untrusted or persisted**
+    /// images — a checksum-valid but hostile image can ship a pair set
+    /// violating Theorem 1, and bytes from disk must never crash a serving
+    /// process. Every other distance entry point wraps it. Ids are checked
+    /// first (the first offending pair is the error); answers come in
+    /// input order with per-batch [`ProbeStats`], which the serving daemon
+    /// feeds to its registry from counts alone (no clocks on the query
+    /// path).
     ///
-    /// Unlike [`Self::try_distance_many`] (which only checks id ranges and
-    /// still inherits the corrupt-image panic from the probe), this is the
-    /// entry point a network daemon uses — a checksum-valid but hostile
-    /// image can ship a pair set violating Theorem 1, and bytes from disk
-    /// must never crash a serving process. Successful answers are
-    /// bit-identical to [`Self::distance_many`] on the same pairs.
-    pub fn distance_many_checked(&self, pairs: &[(u32, u32)]) -> Result<Vec<f64>, QueryError> {
-        self.distance_many_checked_with_stats(pairs).map(|(d, _)| d)
-    }
-
-    /// [`Self::distance_many_checked`] plus per-batch [`ProbeStats`] — the
-    /// serving daemon's entry point, which feeds the telemetry registry
-    /// from counts alone (no clocks anywhere on the query path).
+    /// One pair spends a large share of its ~hundreds of nanoseconds
+    /// materializing the two layer arrays (a root-path walk per endpoint).
+    /// The batch amortizes that: small batches reuse a two-slot scratch
+    /// (no allocation per pair; runs sharing an endpoint in either role
+    /// recompute nothing), and batches with at least as many pairs as the
+    /// oracle has sites switch to a dense table of **all** layer arrays —
+    /// one tree pass, then every pair is pure hash probes. The dense table
+    /// is `n·(h+1)·4` bytes, which the `pairs.len() ≥ n` gate keeps
+    /// proportional to the batch itself.
     pub fn distance_many_checked_with_stats(
         &self,
         pairs: &[(u32, u32)],
     ) -> Result<(Vec<f64>, ProbeStats), QueryError> {
-        let n = self.n_sites();
-        if let Some((index, &(s, t))) =
-            pairs.iter().enumerate().find(|&(_, &(s, t))| s as usize >= n || t as usize >= n)
-        {
-            let site = if s as usize >= n { s } else { t };
-            return Err(QueryError::SiteOutOfRange { index, site, n_sites: n });
-        }
-        let mut stats = ProbeStats::default();
-        let mut count = |probed: Option<(f64, QueryStats)>, s: usize, t: usize| {
-            let (d, qs) = probed.ok_or(QueryError::NoCoveringPair { s, t })?;
-            stats.probes += qs.pairs_checked as u64;
-            Ok(d)
-        };
-        let answers: Result<Vec<f64>, QueryError> = if pairs.len() >= n {
-            let d = self.dense_layers();
-            pairs
-                .iter()
-                .map(|&(s, t)| {
-                    let (s, t) = (s as usize, t as usize);
-                    count(self.probe_checked(d.row(s), d.row(t)), s, t)
-                })
-                .collect()
-        } else {
-            let mut scratch = LayerScratch::default();
-            let collected = pairs
-                .iter()
-                .map(|&(s, t)| {
-                    let (s, t) = (s as usize, t as usize);
-                    let (i, j) = scratch.pair_slots(&self.ctree, s, t);
-                    count(self.probe_checked(&scratch.arrays[i], &scratch.arrays[j]), s, t)
-                })
-                .collect();
-            stats.scratch_hits = scratch.hits;
-            collected
-        };
-        answers.map(|v| (v, stats))
+        check_range(pairs, self.n_sites())?;
+        let dense = (pairs.len() >= self.n_sites()).then(|| self.dense_layers());
+        self.probe_pairs(pairs, dense.as_ref())
     }
 
-    /// Validates a batch with the same actionable panic contract as
-    /// [`Self::check_sites`] (shared with the parallel driver, which
-    /// validates before sharding so the panic fires on the caller's
-    /// thread).
-    pub(crate) fn check_pairs(&self, pairs: &[(u32, u32)]) {
+    /// [`Self::distance_many`] sharded across `threads` pool workers
+    /// (`0` = auto-detect). Results come back in input order and are
+    /// bit-identical for every thread count. Batches large enough for the
+    /// dense layer table build it **once** and share it read-only across
+    /// every shard (a shard alone is often below the dense gate, so
+    /// deciding per shard would forfeit the amortization the batch
+    /// qualifies for).
+    ///
+    /// Panics exactly as [`Self::distance_many`] does — ids are checked
+    /// up front, so an out-of-range panic fires on the caller's thread,
+    /// not inside a worker. An empty slice returns immediately (no pool,
+    /// no thread-count resolution).
+    pub fn distance_many_par(&self, pairs: &[(u32, u32)], threads: usize) -> Vec<f64> {
         let n = self.n_sites();
-        if let Some((i, &(s, t))) =
-            pairs.iter().enumerate().find(|&(_, &(s, t))| s as usize >= n || t as usize >= n)
-        {
-            // lint: allow(panic, "documented panic contract for out-of-range ids; try_distance_many is the checked alternative")
-            panic!(
-                "pair #{i} ({s}, {t}) out of range for an oracle over {n} sites \
-                 (valid ids are 0..{n}); use SeOracle::try_distance_many for a checked batch"
-            );
-        }
+        let answers = check_range(pairs, n).and_then(|()| {
+            let dense = (pairs.len() >= n).then(|| self.dense_layers());
+            shard_pairs(pairs, threads, |chunk| self.probe_pairs(chunk, dense.as_ref()))
+        });
+        expect_answers(answers).0
     }
 
-    /// The dense table behind large batches, built once and shared — the
-    /// parallel driver hands one table to every shard instead of letting
-    /// each rebuild (or miss) it.
-    pub(crate) fn dense_layers(&self) -> DenseLayers {
+    /// The dense table behind large batches: every site's layer array.
+    fn dense_layers(&self) -> DenseLayers {
         DenseLayers { h1: self.ctree.h as usize + 1, flat: self.ctree.all_layer_arrays() }
     }
 
-    /// [`Self::distance_many`]'s dense path over a pre-built table.
-    /// `pairs` must already be validated (see [`Self::check_pairs`]).
-    pub(crate) fn distance_many_dense(&self, pairs: &[(u32, u32)], d: &DenseLayers) -> Vec<f64> {
-        pairs
-            .iter()
-            .map(|&(s, t)| {
-                let (s, t) = (s as usize, t as usize);
-                self.probe(s, t, d.row(s), d.row(t)).0
-            })
-            .collect()
-    }
-
-    /// [`Self::try_distance_many`]'s dense path over a pre-built table.
-    pub(crate) fn try_distance_many_dense(
+    /// Answers range-checked pairs — the one loop over pairs every
+    /// distance entry point runs. Layer arrays come from `dense` when
+    /// given, otherwise from a two-slot [`LayerScratch`].
+    fn probe_pairs(
         &self,
         pairs: &[(u32, u32)],
-        d: &DenseLayers,
-    ) -> Vec<Option<f64>> {
-        let n = self.n_sites();
-        pairs
-            .iter()
-            .map(|&(s, t)| {
-                let (s, t) = (s as usize, t as usize);
-                (s < n && t < n).then(|| self.probe(s, t, d.row(s), d.row(t)).0)
-            })
-            .collect()
+        dense: Option<&DenseLayers>,
+    ) -> Result<(Vec<f64>, ProbeStats), QueryError> {
+        let mut scratch = LayerScratch::default();
+        let mut stats = ProbeStats::default();
+        let mut out = Vec::with_capacity(pairs.len());
+        for &(s, t) in pairs {
+            let (s, t) = (s as usize, t as usize);
+            let (a, b) = match dense {
+                Some(d) => (d.row(s), d.row(t)),
+                None => {
+                    let (i, j) = scratch.pair_slots(&self.ctree, s, t);
+                    (scratch.arrays[i].as_slice(), scratch.arrays[j].as_slice())
+                }
+            };
+            let d = self.probe(a, b, &mut stats.probes);
+            out.push(d.ok_or(QueryError::NoCoveringPair { s, t })?);
+        }
+        stats.scratch_hits = scratch.hits;
+        Ok((out, stats))
     }
 
-    /// Efficient query, also reporting how many hash probes it made.
-    pub fn distance_with_stats(&self, s: usize, t: usize) -> (f64, QueryStats) {
-        self.check_sites(s, t);
-        let a = self.ctree.layer_array(s);
-        let b = self.ctree.layer_array(t);
-        self.probe(s, t, &a, &b)
-    }
-
-    /// The `O(h)` probe sequence of §3.4 over pre-computed layer arrays.
-    /// Separated from [`Self::distance_with_stats`] so batch queries can
-    /// amortize the layer-array computation across many pairs.
-    ///
-    /// A probe miss means the unique-node-pair-match property (Theorem 1)
-    /// does not hold for `(s, t)` — impossible for a built oracle, but a
-    /// checksum-valid yet hostile persisted image can ship an arbitrary
-    /// pair set. Direct callers keep the documented loud panic; the
-    /// serving path goes through [`Self::probe_checked`] so bytes from
-    /// disk or the wire can never crash a serving process.
-    fn probe(&self, s: usize, t: usize, a: &[u32], b: &[u32]) -> (f64, QueryStats) {
-        self.probe_checked(a, b).unwrap_or_else(|| {
-            // lint: allow(panic, "documented corrupt-image panic; probe_checked is the serving-path alternative")
-            panic!(
-                "no stored node pair covers sites ({s}, {t}) although both ids are in range — \
-                 the unique node pair match property (Theorem 1) is violated, which means the \
-                 oracle's pair set is corrupt (a construction bug or a mismatched seed when \
-                 reassembling a persisted oracle); rebuild the oracle and report this if it recurs"
-            )
-        })
-    }
-
-    /// [`Self::probe`] without the corrupt-image panic: `None` when no
-    /// stored node pair covers the two sites behind layer arrays `a`/`b`.
-    fn probe_checked(&self, a: &[u32], b: &[u32]) -> Option<(f64, QueryStats)> {
+    /// The `O(h)` probe sequence of §3.4 over two sites' layer arrays,
+    /// counting probes into `probes`. `None` means no stored node pair
+    /// covers the sites: the unique-node-pair-match property (Theorem 1)
+    /// fails, which a built oracle never does but a checksum-valid yet
+    /// hostile persisted image can.
+    fn probe(&self, a: &[u32], b: &[u32], probes: &mut u64) -> Option<f64> {
         let h = self.ctree.h as usize;
         let nodes = &self.ctree.nodes;
-        let mut qs = QueryStats::default();
 
         // Step 1: same-layer pairs.
         for i in 0..=h {
             if a[i] != NO_NODE && b[i] != NO_NODE {
-                qs.pairs_checked += 1;
+                *probes += 1;
                 if let Some(&d) = self.pairs.get(pair_key(a[i], b[i])) {
-                    return Some((d, qs));
+                    return Some(d);
                 }
             }
         }
@@ -616,9 +553,9 @@ impl SeOracle {
             let j = nodes[nodes[b[i] as usize].parent as usize].layer as usize;
             for &ak in &a[j..i] {
                 if ak != NO_NODE {
-                    qs.pairs_checked += 1;
+                    *probes += 1;
                     if let Some(&d) = self.pairs.get(pair_key(ak, b[i])) {
-                        return Some((d, qs));
+                        return Some(d);
                     }
                 }
             }
@@ -632,9 +569,9 @@ impl SeOracle {
             let j = nodes[nodes[a[i] as usize].parent as usize].layer as usize;
             for &bk in &b[j..i] {
                 if bk != NO_NODE {
-                    qs.pairs_checked += 1;
+                    *probes += 1;
                     if let Some(&d) = self.pairs.get(pair_key(a[i], bk)) {
-                        return Some((d, qs));
+                        return Some(d);
                     }
                 }
             }
@@ -643,37 +580,23 @@ impl SeOracle {
     }
 
     /// The paper's naive `O(h²)` query (baseline for the query ablation):
-    /// probes the full Cartesian product of the two root paths.
-    pub fn distance_naive(&self, s: usize, t: usize) -> (f64, QueryStats) {
-        self.check_sites(s, t);
-        let a = self.ctree.layer_array(s);
-        let b = self.ctree.layer_array(t);
-        let mut qs = QueryStats::default();
-        for &na in a.iter().filter(|&&x| x != NO_NODE) {
-            for &nb in b.iter().filter(|&&x| x != NO_NODE) {
-                qs.pairs_checked += 1;
-                if let Some(&d) = self.pairs.get(pair_key(na, nb)) {
-                    return (d, qs);
+    /// probes the full Cartesian product of the two root paths. Panics
+    /// like [`Self::distance`].
+    pub fn distance_naive(&self, s: usize, t: usize) -> (f64, ProbeStats) {
+        let answer = check_range(&[site_pair(s, t)], self.n_sites()).and_then(|()| {
+            let (a, b) = (self.ctree.layer_array(s), self.ctree.layer_array(t));
+            let mut stats = ProbeStats::default();
+            for &na in a.iter().filter(|&&x| x != NO_NODE) {
+                for &nb in b.iter().filter(|&&x| x != NO_NODE) {
+                    stats.probes += 1;
+                    if let Some(&d) = self.pairs.get(pair_key(na, nb)) {
+                        return Ok((d, stats));
+                    }
                 }
             }
-        }
-        unreachable!(
-            "no stored node pair covers sites ({s}, {t}) (naive probe of the full root-path \
-             product) — the oracle's pair set is corrupt; rebuild the oracle"
-        )
-    }
-
-    /// Actionable bounds check shared by the query paths: a plain slice
-    /// index would panic deep inside `layer_array` with no hint at the
-    /// cause.
-    #[inline]
-    fn check_sites(&self, s: usize, t: usize) {
-        let n = self.n_sites();
-        assert!(
-            s < n && t < n,
-            "site ids ({s}, {t}) out of range for an oracle over {n} sites \
-             (valid ids are 0..{n}); use SeOracle::try_distance for a checked query"
-        );
+            Err(QueryError::NoCoveringPair { s, t })
+        });
+        expect_answers(answer)
     }
 
     /// Oracle size: compressed tree + node-pair perfect hash (what a
@@ -698,7 +621,7 @@ impl std::fmt::Debug for SeOracle {
 /// All sites' layer arrays in one flat row-major table
 /// ([`CompressedTree::all_layer_arrays`]) — what large batch queries probe
 /// against instead of re-walking root paths per pair.
-pub(crate) struct DenseLayers {
+struct DenseLayers {
     /// Row stride, `h + 1`.
     h1: usize,
     flat: Vec<u32>,
@@ -825,15 +748,16 @@ mod tests {
         let sp = space(20, 5);
         let oracle = SeOracle::build(&sp, 0.15, &BuildConfig::default()).unwrap();
         let n = sp.n_sites();
-        let mut total_eff = 0u32;
-        let mut total_naive = 0u32;
+        let mut total_eff = 0u64;
+        let mut total_naive = 0u64;
         for s in 0..n {
             for t in 0..n {
-                let (de, qe) = oracle.distance_with_stats(s, t);
+                let pair = [(s as u32, t as u32)];
+                let (de, qe) = oracle.distance_many_checked_with_stats(&pair).unwrap();
                 let (dn, qn) = oracle.distance_naive(s, t);
-                assert_eq!(de, dn, "sites ({s},{t})");
-                total_eff += qe.pairs_checked;
-                total_naive += qn.pairs_checked;
+                assert_eq!(de[0], dn, "sites ({s},{t})");
+                total_eff += qe.probes;
+                total_naive += qn.probes;
             }
         }
         // The efficient query's probe count must not exceed the naive one's
@@ -947,16 +871,24 @@ mod tests {
     }
 
     #[test]
-    fn try_distance_checks_range() {
+    fn checked_kernel_types_out_of_range_ids() {
         let sp = space(8, 21);
         let n = sp.n_sites();
         let oracle = SeOracle::build(&sp, 0.2, &BuildConfig::default()).unwrap();
-        assert_eq!(oracle.try_distance(0, n), None);
-        assert_eq!(oracle.try_distance(n, 0), None);
-        assert_eq!(oracle.try_distance(usize::MAX, usize::MAX), None);
+        let m = n as u32;
+        assert_eq!(
+            oracle.distance_many_checked_with_stats(&[(0, 1), (0, m)]),
+            Err(QueryError::SiteOutOfRange { index: 1, site: m, n_sites: n })
+        );
+        assert_eq!(
+            oracle.distance_many_checked_with_stats(&[(u32::MAX, 0)]),
+            Err(QueryError::SiteOutOfRange { index: 0, site: u32::MAX, n_sites: n })
+        );
         for s in 0..n {
             for t in 0..n {
-                assert_eq!(oracle.try_distance(s, t), Some(oracle.distance(s, t)));
+                let (d, _) =
+                    oracle.distance_many_checked_with_stats(&[(s as u32, t as u32)]).unwrap();
+                assert_eq!(d[0].to_bits(), oracle.distance(s, t).to_bits());
             }
         }
     }
@@ -969,6 +901,9 @@ mod tests {
         for query in [
             Box::new(|| oracle.distance(n, 0)) as Box<dyn Fn() -> f64 + std::panic::UnwindSafe>,
             Box::new(|| oracle.distance_naive(0, n + 7).0),
+            // Above u32::MAX: saturates, never wraps into range.
+            Box::new(|| oracle.distance(usize::MAX, 0)),
+            Box::new(|| oracle.distance_many(&[(0, 0), (0, n as u32)])[0]),
         ] {
             let err = std::panic::catch_unwind(query).unwrap_err();
             let msg = err
@@ -977,7 +912,7 @@ mod tests {
                 .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
                 .unwrap_or_default();
             assert!(
-                msg.contains("out of range") && msg.contains("try_distance"),
+                msg.contains("out of range") && msg.contains("distance_many_checked_with_stats"),
                 "panic message not actionable: {msg}"
             );
         }

@@ -741,7 +741,7 @@ impl Atlas {
             }
         }
         for t in 0..self.n_tiles() {
-            let tile = self.tile(t);
+            let tile = self.tile(t).map_err(io::Error::other)?;
             let blob = tile.oracle.save_bytes();
             p.extend_from_slice(&(blob.len() as u64).to_le_bytes());
             p.extend_from_slice(&blob);
@@ -759,10 +759,13 @@ impl Atlas {
     }
 
     /// Serializes to an in-memory buffer.
+    ///
+    /// Panics only for an out-of-core atlas whose backing file no longer
+    /// reads; [`Self::save_to`] reports that as an `io::Error`.
     pub fn save_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        // lint: allow(panic, "Vec<u8> writes are infallible")
-        self.save_to(&mut out).expect("Vec<u8> writes are infallible");
+        // lint: allow(panic, "Vec<u8> writes are infallible; an out-of-core tile read failure is the documented panic")
+        self.save_to(&mut out).expect("atlas tiles must be readable");
         out
     }
 
@@ -788,7 +791,7 @@ impl Atlas {
         }
         let mut segments: Vec<Vec<u8>> = Vec::with_capacity(self.n_tiles());
         for t in 0..self.n_tiles() {
-            let tile = self.tile(t);
+            let tile = self.tile(t).map_err(io::Error::other)?;
             let blob = tile.oracle.save_bytes_compact(compress);
             let mut s = Vec::with_capacity(blob.len() + 64);
             s.extend_from_slice(&(blob.len() as u64).to_le_bytes());
@@ -810,11 +813,12 @@ impl Atlas {
         write_framed(w, ATLAS_MAGIC, ATLAS_VERSION_COMPACT, &p)
     }
 
-    /// [`Self::save_to_compact`] into an in-memory buffer.
+    /// [`Self::save_to_compact`] into an in-memory buffer, panicking like
+    /// [`Self::save_bytes`].
     pub fn save_bytes_compact(&self, compress: bool) -> Vec<u8> {
         let mut out = Vec::new();
-        // lint: allow(panic, "Vec<u8> writes are infallible")
-        self.save_to_compact(&mut out, compress).expect("Vec<u8> writes are infallible");
+        // lint: allow(panic, "Vec<u8> writes are infallible; an out-of-core tile read failure is the documented panic")
+        self.save_to_compact(&mut out, compress).expect("atlas tiles must be readable");
         out
     }
 

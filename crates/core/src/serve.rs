@@ -11,11 +11,12 @@
 //! many serving threads as the workload needs. Every clone answers every
 //! query bit-identically to every other clone and to the original oracle.
 //!
-//! The batch driver [`QueryHandle::distance_many_par`] shards a pair slice
-//! across [`geodesic::pool`] workers — the same pool construction uses —
-//! and reassembles the per-shard results in input order, so the output is
-//! independent of the thread count and of scheduling, exactly like the
-//! construction pipeline's determinism contract.
+//! The batch driver [`SeOracle::distance_many_par`] (and its atlas twin)
+//! shards a pair slice across [`geodesic::pool`] workers — the same pool
+//! construction uses — and reassembles the per-shard results in input
+//! order, so the output is independent of the thread count and of
+//! scheduling, exactly like the construction pipeline's determinism
+//! contract.
 //!
 //! The one sanctioned exception to "no interior mutability" is the
 //! out-of-core atlas backend ([`crate::tilestore::TileStore`], opened via
@@ -27,9 +28,9 @@
 //! ticks, never a clock.
 
 // lint: query-path
-use crate::oracle::SeOracle;
-use crate::proximity::DetourPoi;
+use crate::oracle::{ProbeStats, QueryError, SeOracle};
 use crate::route::{PathIndex, ShortestPath};
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// Compile-time proof of the thread-safety contract: a built oracle (and
@@ -41,7 +42,8 @@ const _: () = {
 };
 
 /// A cheaply clonable, `Send + Sync`, read-only view of a built
-/// [`SeOracle`].
+/// [`SeOracle`]: it derefs to the oracle, so every query — including the
+/// parallel [`SeOracle::distance_many_par`] — is called through it.
 ///
 /// Cloning copies one [`Arc`] — the tree and pair set are shared, never
 /// duplicated. Use one handle per serving thread:
@@ -76,11 +78,6 @@ impl QueryHandle {
     /// Freezes `oracle` into a shareable handle.
     pub fn new(oracle: SeOracle) -> Self {
         Self { oracle: Arc::new(oracle), paths: None }
-    }
-
-    /// Wraps an oracle that is already shared.
-    pub fn from_arc(oracle: Arc<SeOracle>) -> Self {
-        Self { oracle, paths: None }
     }
 
     /// Attaches a [`PathIndex`] so the handle can serve
@@ -128,90 +125,17 @@ impl QueryHandle {
         self.oracle.shortest_path(s, t, paths)
     }
 
-    /// See [`SeOracle::pois_within_detour`]. Needs no path index — the
-    /// query runs entirely on the oracle metric.
-    pub fn pois_within_detour(&self, s: usize, t: usize, delta: f64) -> Vec<DetourPoi> {
-        self.oracle.pois_within_detour(s, t, delta)
-    }
-
-    /// The underlying oracle (every [`SeOracle`] accessor is available
-    /// through this; the common query entry points are mirrored below).
+    /// The underlying oracle (also reachable through `Deref`).
     pub fn oracle(&self) -> &SeOracle {
         &self.oracle
     }
+}
 
-    /// Number of sites indexed.
-    pub fn n_sites(&self) -> usize {
-        self.oracle.n_sites()
-    }
+impl Deref for QueryHandle {
+    type Target = SeOracle;
 
-    /// The error parameter ε.
-    pub fn epsilon(&self) -> f64 {
-        self.oracle.epsilon()
-    }
-
-    /// See [`SeOracle::distance`].
-    pub fn distance(&self, s: usize, t: usize) -> f64 {
-        self.oracle.distance(s, t)
-    }
-
-    /// See [`SeOracle::try_distance`].
-    pub fn try_distance(&self, s: usize, t: usize) -> Option<f64> {
-        self.oracle.try_distance(s, t)
-    }
-
-    /// See [`SeOracle::distance_many`].
-    pub fn distance_many(&self, pairs: &[(u32, u32)]) -> Vec<f64> {
-        self.oracle.distance_many(pairs)
-    }
-
-    /// See [`SeOracle::try_distance_many`].
-    pub fn try_distance_many(&self, pairs: &[(u32, u32)]) -> Vec<Option<f64>> {
-        self.oracle.try_distance_many(pairs)
-    }
-
-    /// [`SeOracle::distance_many`] sharded across `threads` pool workers
-    /// (`0` = auto-detect). Results come back in input order and are
-    /// bit-identical for every thread count. Batches large enough for the
-    /// dense layer table build it **once** and share it read-only across
-    /// every shard (a shard alone is often below the dense gate, so
-    /// deciding per shard would forfeit the amortization the batch
-    /// qualifies for).
-    ///
-    /// Panics exactly as [`SeOracle::distance_many`] does on an
-    /// out-of-range pair — validated up front, so the panic fires on the
-    /// caller's thread, not inside a worker; use
-    /// [`Self::try_distance_many_par`] for the checked variant.
-    /// An empty slice returns immediately (no pool, no dense table, no
-    /// thread-count resolution).
-    pub fn distance_many_par(&self, pairs: &[(u32, u32)], threads: usize) -> Vec<f64> {
-        if pairs.is_empty() {
-            return Vec::new();
-        }
-        self.oracle.check_pairs(pairs);
-        if pairs.len() >= self.oracle.n_sites() {
-            let dense = self.oracle.dense_layers();
-            shard_pairs(pairs, threads, |chunk| self.oracle.distance_many_dense(chunk, &dense))
-        } else {
-            shard_pairs(pairs, threads, |chunk| self.oracle.distance_many(chunk))
-        }
-    }
-
-    /// [`SeOracle::try_distance_many`] sharded across `threads` pool
-    /// workers (`0` = auto-detect), element-for-element equal to the
-    /// sequential call, with the same shared dense table as
-    /// [`Self::distance_many_par`] and the same immediate empty-slice
-    /// return.
-    pub fn try_distance_many_par(&self, pairs: &[(u32, u32)], threads: usize) -> Vec<Option<f64>> {
-        if pairs.is_empty() {
-            return Vec::new();
-        }
-        if pairs.len() >= self.oracle.n_sites() {
-            let dense = self.oracle.dense_layers();
-            shard_pairs(pairs, threads, |chunk| self.oracle.try_distance_many_dense(chunk, &dense))
-        } else {
-            shard_pairs(pairs, threads, |chunk| self.oracle.try_distance_many(chunk))
-        }
+    fn deref(&self) -> &SeOracle {
+        &self.oracle
     }
 }
 
@@ -226,33 +150,37 @@ impl std::fmt::Debug for QueryHandle {
     }
 }
 
-/// Splits `pairs` into contiguous shards, runs `f` per shard on the
-/// worker pool, and concatenates the results in shard order — the
-/// parallel driver shared by every batch entry point ([`QueryHandle`] and
-/// the atlas handle). Shards are a few per worker so uneven probe costs
-/// balance through the pool's atomic queue without fragmenting the
-/// per-shard amortization. Empty and single-pair slices run inline
-/// without touching the pool.
-pub(crate) fn shard_pairs<T: Send>(
+/// Splits `pairs` into contiguous shards, answers each with `kernel` on
+/// the worker pool, and concatenates answers and probe counts in shard
+/// order (the first failing shard's error wins) — the parallel driver
+/// behind both backends' `distance_many_par`. Shards are a few per worker
+/// so uneven probe costs balance through the pool's atomic queue without
+/// fragmenting the per-shard amortization. Empty and single-pair slices
+/// run inline without touching the pool (an empty one never calls
+/// `kernel`).
+pub(crate) fn shard_pairs(
     pairs: &[(u32, u32)],
     threads: usize,
-    f: impl Fn(&[(u32, u32)]) -> Vec<T> + Sync,
-) -> Vec<T> {
+    kernel: impl Fn(&[(u32, u32)]) -> Result<(Vec<f64>, ProbeStats), QueryError> + Sync,
+) -> Result<(Vec<f64>, ProbeStats), QueryError> {
     if pairs.is_empty() {
-        return Vec::new();
+        return Ok((Vec::new(), ProbeStats::default()));
     }
     let workers = geodesic::pool::resolve_threads(threads);
     if workers <= 1 || pairs.len() < 2 {
-        return f(pairs);
+        return kernel(pairs);
     }
     let shard_len = pairs.len().div_ceil(workers * 4).max(64);
     let shards: Vec<&[(u32, u32)]> = pairs.chunks(shard_len).collect();
-    let per_shard = geodesic::pool::run_indexed(workers, shards.len(), |i| f(shards[i]));
+    let per_shard = geodesic::pool::run_indexed(workers, shards.len(), |i| kernel(shards[i]));
     let mut out = Vec::with_capacity(pairs.len());
+    let mut stats = ProbeStats::default();
     for shard in per_shard {
-        out.extend(shard);
+        let (answers, shard_stats) = shard?;
+        out.extend(answers);
+        stats += shard_stats;
     }
-    out
+    Ok((out, stats))
 }
 
 /// A deterministic stream of `len` in-range query pairs for worker
@@ -275,18 +203,6 @@ pub fn pair_stream(salt: u64, stream: u64, len: usize, n_sites: usize) -> Vec<(u
         v
     };
     (0..len).map(|_| ((next() % n_sites as u64) as u32, (next() % n_sites as u64) as u32)).collect()
-}
-
-impl From<SeOracle> for QueryHandle {
-    fn from(oracle: SeOracle) -> Self {
-        Self::new(oracle)
-    }
-}
-
-impl From<Arc<SeOracle>> for QueryHandle {
-    fn from(oracle: Arc<SeOracle>) -> Self {
-        Self::from_arc(oracle)
-    }
 }
 
 #[cfg(test)]
@@ -339,16 +255,19 @@ mod tests {
     }
 
     #[test]
-    fn try_batch_flags_out_of_range_elements() {
+    fn checked_batch_types_the_first_out_of_range_pair() {
         let h = handle(10, 7, 0.25);
         let n = h.n_sites() as u32;
         let pairs = [(0, 1), (n, 0), (0, n), (u32::MAX, u32::MAX), (2, 3)];
-        let got = h.try_distance_many(&pairs);
-        let want: Vec<Option<f64>> =
-            pairs.iter().map(|&(s, t)| h.try_distance(s as usize, t as usize)).collect();
+        assert_eq!(
+            h.distance_many_checked_with_stats(&pairs),
+            Err(QueryError::SiteOutOfRange { index: 1, site: n, n_sites: n as usize })
+        );
+        let valid = [pairs[0], pairs[4]];
+        let (got, _) = h.distance_many_checked_with_stats(&valid).unwrap();
+        let want: Vec<f64> =
+            valid.iter().map(|&(s, t)| h.distance(s as usize, t as usize)).collect();
         assert_eq!(got, want);
-        assert!(got[1].is_none() && got[2].is_none() && got[3].is_none());
-        assert!(got[0].is_some() && got[4].is_some());
     }
 
     #[test]
@@ -366,7 +285,7 @@ mod tests {
             .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
             .unwrap_or_default();
         assert!(
-            msg.contains("pair #1") && msg.contains("try_distance_many"),
+            msg.contains("pair #1") && msg.contains("distance_many_checked_with_stats"),
             "panic message not actionable: {msg}"
         );
     }
@@ -375,23 +294,22 @@ mod tests {
     fn empty_batch_is_empty() {
         let h = handle(6, 11, 0.3);
         assert!(h.distance_many(&[]).is_empty());
-        assert!(h.try_distance_many(&[]).is_empty());
+        assert_eq!(h.distance_many_checked_with_stats(&[]), Ok((vec![], ProbeStats::default())));
         assert!(h.distance_many_par(&[], 4).is_empty());
     }
 
     #[test]
     fn empty_parallel_batch_skips_the_pool() {
         let h = handle(6, 17, 0.3);
-        // Both parallel drivers must return immediately on an empty slice,
+        // The parallel driver must return immediately on an empty slice,
         // for every thread spec including auto-detect — the early return
         // fires before any pool or dense-table work. `shard_pairs` itself
         // must never invoke its closure for an empty slice.
         for threads in [0usize, 1, 8] {
             assert_eq!(h.distance_many_par(&[], threads), Vec::<f64>::new());
-            assert_eq!(h.try_distance_many_par(&[], threads), Vec::<Option<f64>>::new());
         }
-        let out: Vec<f64> = shard_pairs(&[], 8, |_| panic!("closure must not run"));
-        assert!(out.is_empty());
+        let out = shard_pairs(&[], 8, |_| panic!("closure must not run"));
+        assert_eq!(out, Ok((vec![], ProbeStats::default())));
     }
 
     #[test]
@@ -415,8 +333,6 @@ mod tests {
             for (i, (a, b)) in seq.iter().zip(&par).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "pair {i} with {threads} threads");
             }
-            let tp = h.try_distance_many_par(&pairs, threads);
-            assert_eq!(tp, seq.iter().map(|&d| Some(d)).collect::<Vec<_>>());
         }
     }
 

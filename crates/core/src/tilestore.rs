@@ -15,9 +15,9 @@
 //! (portal lists, portal tables, site membership) is retained, and the
 //! decoded tiles are dropped again. After a successful open the only
 //! failures left on the tile path are environmental — the backing file
-//! shrank or was rewritten underneath us — which `TileStore::tile`
-//! treats as fatal (see below) rather than threading `Result` through the
-//! infallible query API.
+//! shrank or was rewritten underneath us. `TileStore::tile` reports those
+//! as [`QueryError::TileUnavailable`] without caching anything, so the
+//! store stays healthy and the next miss on the tile reads it again.
 //!
 //! # Determinism
 //!
@@ -32,10 +32,11 @@
 //! The store registers in the [`obs::Registry`] handed to
 //! `TileStore::open`: counters `atlas_tile_hits_total`,
 //! `atlas_tile_misses_total`, `atlas_tile_loads_total`,
-//! `atlas_tile_evictions_total` and gauges `atlas_tiles_resident`,
-//! `atlas_resident_bytes`. Every miss triggers exactly one load
-//! (`loads == misses`), and the byte gauge never exceeds the budget while
-//! more than one tile is resident.
+//! `atlas_tile_load_failures_total`, `atlas_tile_evictions_total` and
+//! gauges `atlas_tiles_resident`, `atlas_resident_bytes`. Every miss
+//! triggers exactly one load attempt (`loads + load_failures == misses`),
+//! and the byte gauge never exceeds the budget while more than one tile is
+//! resident.
 
 // lint: query-path
 
@@ -47,9 +48,10 @@ use std::sync::Arc;
 // LRU cache *is* interior mutability. All of it lives behind this single
 // mutex; decoded tile bytes are immutable once published via `Arc`.
 // lint: allow(d3, "LRU residency cache: single lock, query-ordinal ticks, decoded tiles immutable behind Arc")
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::atlas::AtlasTile;
+use crate::oracle::QueryError;
 use crate::persist::{
     decode_tile_segment, fnv1a, parse_frame_header, parse_seat_layout, PersistError, ATLAS_MAGIC,
     ATLAS_VERSION, ATLAS_VERSION_COMPACT, IMAGE_FRAME_CAP,
@@ -84,8 +86,12 @@ pub struct TileStoreStats {
     pub hits: u64,
     /// Tile accesses that had to decode the segment from disk.
     pub misses: u64,
-    /// Segment decodes performed (equals `misses` by construction).
+    /// Segment decodes performed.
     pub loads: u64,
+    /// Misses whose segment no longer read or decoded
+    /// ([`QueryError::TileUnavailable`]); `loads + load_failures ==
+    /// misses`.
+    pub load_failures: u64,
     /// Tiles evicted to stay under the byte budget.
     pub evictions: u64,
     /// Tiles currently resident.
@@ -133,6 +139,7 @@ pub struct TileStore {
     hits: Arc<obs::Counter>,
     misses: Arc<obs::Counter>,
     loads: Arc<obs::Counter>,
+    load_failures: Arc<obs::Counter>,
     evictions: Arc<obs::Counter>,
     resident_tiles_g: Arc<obs::Gauge>,
     resident_bytes_g: Arc<obs::Gauge>,
@@ -235,6 +242,7 @@ impl TileStore {
             hits: registry.counter("atlas_tile_hits_total"),
             misses: registry.counter("atlas_tile_misses_total"),
             loads: registry.counter("atlas_tile_loads_total"),
+            load_failures: registry.counter("atlas_tile_load_failures_total"),
             evictions: registry.counter("atlas_tile_evictions_total"),
             resident_tiles_g: registry.gauge("atlas_tiles_resident"),
             resident_bytes_g: registry.gauge("atlas_resident_bytes"),
@@ -250,45 +258,31 @@ impl TileStore {
     /// stamp), which also lets a single tile larger than the budget be
     /// served: the floor is one resident tile.
     ///
-    /// # Panics
-    ///
-    /// If the backing file became unreadable or its bytes no longer decode
-    /// (it was truncated or rewritten after `TileStore::open` validated
-    /// it). That is environmental corruption mid-serve, not a query error,
-    /// and the infallible query API has no channel to report it.
-    pub(crate) fn tile(&self, t: usize) -> Arc<AtlasTile> {
-        // lint: allow(panic, "poisoned = a prior decode panicked; the store is already dead")
-        let mut st = self.state.lock().expect("tile store lock poisoned");
+    /// A segment that no longer reads or decodes (the file was truncated
+    /// or rewritten after `TileStore::open` validated it) is
+    /// [`QueryError::TileUnavailable`]: counted, nothing cached, the
+    /// resident set untouched.
+    pub(crate) fn tile(&self, t: usize) -> Result<Arc<AtlasTile>, QueryError> {
+        let mut st = self.lock();
         st.tick += 1;
         let tick = st.tick;
         if let Some(tile) = &st.slots[t] {
             let tile = Arc::clone(tile);
             st.stamp[t] = tick;
             self.hits.inc();
-            return tile;
+            return Ok(tile);
         }
         self.misses.inc();
 
         let (off, len) = self.segments[t];
         let mut buf = vec![0u8; len];
-        st.file
-            .seek(SeekFrom::Start(off))
-            .and_then(|_| st.file.read_exact(&mut buf))
-            .unwrap_or_else(|e| {
-                // lint: allow(panic, "backing image unreadable after open-time validation: environmental corruption, not a query error")
-                panic!(
-                    "out-of-core atlas: backing image became unreadable at segment {t} \
-                     (offset {off}, {len} bytes): {e}; the file was validated at open — \
-                     was it truncated or replaced while serving?"
-                )
-            });
-        let tile = decode_tile_segment(&buf, self.version, self.n_portals).unwrap_or_else(|e| {
-            // lint: allow(panic, "segment no longer decodes after open-time validation: the file changed under us")
-            panic!(
-                "out-of-core atlas: tile segment {t} no longer decodes: {e}; \
-                 it validated at open — was the file rewritten while serving?"
-            )
-        });
+        let read = st.file.seek(SeekFrom::Start(off)).and_then(|_| st.file.read_exact(&mut buf));
+        let decoded =
+            read.ok().and_then(|()| decode_tile_segment(&buf, self.version, self.n_portals).ok());
+        let Some(tile) = decoded else {
+            self.load_failures.inc();
+            return Err(QueryError::TileUnavailable { tile: t });
+        };
         let tile = Arc::new(tile);
         st.slots[t] = Some(Arc::clone(&tile));
         st.stamp[t] = tick;
@@ -297,11 +291,8 @@ impl TileStore {
         self.loads.inc();
 
         while st.resident_bytes > self.budget && st.resident_tiles > 1 {
-            let victim = (0..st.slots.len())
-                .filter(|&i| st.slots[i].is_some())
-                .min_by_key(|&i| st.stamp[i])
-                // lint: allow(panic, "resident_tiles > 1 guarantees a resident slot exists")
-                .expect("resident set is non-empty");
+            let resident = (0..st.slots.len()).filter(|&i| st.slots[i].is_some());
+            let Some(victim) = resident.min_by_key(|&i| st.stamp[i]) else { break };
             st.slots[victim] = None;
             st.resident_bytes -= self.decoded_sizes[victim];
             st.resident_tiles -= 1;
@@ -309,7 +300,15 @@ impl TileStore {
         }
         self.resident_tiles_g.set(st.resident_tiles as u64);
         self.resident_bytes_g.set(st.resident_bytes as u64);
-        tile
+        Ok(tile)
+    }
+
+    /// Locks the cache state. The only call under the lock that could
+    /// panic is the segment decode, which runs before any state changes,
+    /// so even a poisoned lock guards valid state and is recovered rather
+    /// than propagated.
+    fn lock(&self) -> MutexGuard<'_, StoreState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Number of tiles in the backing image.
@@ -335,12 +334,12 @@ impl TileStore {
 
     /// A consistent snapshot of the cache statistics.
     pub fn stats(&self) -> TileStoreStats {
-        // lint: allow(panic, "poisoned = a prior decode panicked; the store is already dead")
-        let st = self.state.lock().expect("tile store lock poisoned");
+        let st = self.lock();
         TileStoreStats {
             hits: self.hits.get(),
             misses: self.misses.get(),
             loads: self.loads.get(),
+            load_failures: self.load_failures.get(),
             evictions: self.evictions.get(),
             resident_tiles: st.resident_tiles,
             resident_bytes: st.resident_bytes,

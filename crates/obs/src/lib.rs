@@ -19,7 +19,8 @@
 //! or environment values back to its callers' data paths: metric values
 //! flow *in* from instrumented code, and the only wall-clock reads live
 //! in [`trace`] (annotated for the d2 lint rule), where they decorate
-//! trace events and nothing else. Files tagged `// lint: query-path`
+//! trace events and time build phases ([`trace::timed`]) — never oracle
+//! data. Files tagged `// lint: query-path`
 //! may only use the atomic handle types ([`Counter`], [`Gauge`],
 //! [`Histogram`]); the registry's interior locking stays on the
 //! registration path, outside any query.

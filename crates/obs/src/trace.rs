@@ -8,13 +8,15 @@
 //! `chrome://tracing` / Perfetto (`terrain-oracle build --trace`).
 //!
 //! This is the only module in the workspace's library code that reads a
-//! wall clock. The readings decorate trace events and are never
-//! returned to callers, so enabling tracing cannot perturb oracle
-//! construction — `tests/telemetry.rs` proves images built with tracing
-//! on and off are byte-identical.
+//! wall clock for construction. The readings decorate trace events, and
+//! [`timed`] spans also hand their elapsed time back for build
+//! statistics; none reaches oracle data, so enabling tracing cannot
+//! perturb construction — `tests/telemetry.rs` proves images built with
+//! tracing on and off are byte-identical.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
+use std::time::Duration;
 // lint: allow(d2, "trace timestamps only: spans stamp wall time onto trace events; readings never reach oracle data (bit-identity pinned by tests/telemetry.rs)")
 use std::time::Instant;
 
@@ -84,29 +86,57 @@ pub fn take_events() -> Vec<TraceEvent> {
 struct Started {
     cat: &'static str,
     name: &'static str,
-    // lint: allow(d2, "span start time; used only to stamp the trace event on drop")
+    // lint: allow(d2, "span start time; used only to stamp the trace event and the elapsed time timed spans report")
     start: Instant,
 }
 
-/// RAII guard returned by [`span`]; records the event when dropped.
-pub struct Span(Option<Started>);
+impl Started {
+    fn now(cat: &'static str, name: &'static str) -> Self {
+        // lint: allow(d2, "span start stamp for trace events and build-phase durations; never fed into oracle data")
+        Started { cat, name, start: Instant::now() }
+    }
+}
+
+/// RAII guard returned by [`span`] and [`timed`]; records the event when
+/// dropped or [finished](Span::finish).
+pub struct Span {
+    started: Option<Started>,
+    /// Whether the event goes to the sink (tracing was on at open).
+    traced: bool,
+}
 
 /// Opens a scoped span. A no-op (one atomic load, no allocation) unless
 /// tracing is enabled.
 pub fn span(cat: &'static str, name: &'static str) -> Span {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return Span(None);
+    if !is_enabled() {
+        return Span { started: None, traced: false };
     }
-    // lint: allow(d2, "span start stamp for the optional build trace; never fed back to callers")
-    Span(Some(Started { cat, name, start: Instant::now() }))
+    Span { started: Some(Started::now(cat, name)), traced: true }
 }
 
-impl Drop for Span {
-    fn drop(&mut self) {
-        let Some(s) = self.0.take() else { return };
-        let dur_us = s.start.elapsed().as_micros() as u64;
+/// Opens a span that measures itself whether or not tracing is on:
+/// [`Span::finish`] returns its elapsed time, and the trace event (when
+/// tracing is enabled) carries the same duration. This is how build
+/// statistics time their phases — one clock for traces and stats alike.
+pub fn timed(cat: &'static str, name: &'static str) -> Span {
+    Span { started: Some(Started::now(cat, name)), traced: is_enabled() }
+}
+
+impl Span {
+    /// Closes the span and returns its elapsed time ([`Duration::ZERO`]
+    /// for a [`span`] opened while tracing was off).
+    pub fn finish(mut self) -> Duration {
+        self.close()
+    }
+
+    fn close(&mut self) -> Duration {
+        let Some(s) = self.started.take() else { return Duration::ZERO };
+        let dur = s.start.elapsed();
+        if !self.traced {
+            return dur;
+        }
         let mut guard = sink();
-        let Some(sink) = guard.as_mut() else { return };
+        let Some(sink) = guard.as_mut() else { return dur };
         // `duration_since` saturates to zero, so a span that raced an
         // `enable` (fresh epoch) records ts 0 rather than panicking.
         let ts_us = s.start.duration_since(sink.epoch).as_micros() as u64;
@@ -114,9 +144,16 @@ impl Drop for Span {
             cat: s.cat,
             name: s.name,
             ts_us,
-            dur_us,
+            dur_us: dur.as_micros() as u64,
             tid: TID.with(|t| *t),
         });
+        dur
+    }
+}
+
+impl Drop for Span {
+    fn drop(&mut self) {
+        self.close();
     }
 }
 
@@ -149,6 +186,11 @@ mod tests {
     #[test]
     fn spans_record_only_while_enabled() {
         drop(span("t", "ignored-while-disabled"));
+        // A timed span measures itself with tracing off, recording nothing.
+        let t = timed("t", "timed-while-disabled");
+        std::thread::sleep(Duration::from_millis(2));
+        assert!(t.finish() >= Duration::from_millis(2));
+        assert_eq!(span("t", "untimed").finish(), Duration::ZERO);
         assert!(take_events().is_empty());
 
         enable();
@@ -157,10 +199,14 @@ mod tests {
             let _outer = span("t", "outer");
             drop(span("t", "inner"));
         }
+        let elapsed = timed("t", "timed").finish();
         disable();
         drop(span("t", "ignored-after-disable"));
         let events = take_events();
-        assert_eq!(events.len(), 2);
+        assert_eq!(events.len(), 3);
+        // The trace event carries the duration the timed span reported.
+        assert_eq!(events[2].name, "timed");
+        assert_eq!(events[2].dur_us, elapsed.as_micros() as u64);
         // Inner drops first; both carry this thread's tid.
         assert_eq!(events[0].name, "inner");
         assert_eq!(events[1].name, "outer");

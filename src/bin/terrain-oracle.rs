@@ -285,10 +285,14 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         };
         let s: usize = s.parse().map_err(|_| format!("bad site '{s}'"))?;
         let t: usize = t.parse().map_err(|_| format!("bad site '{t}'"))?;
-        let d = oracle.try_distance(s, t).ok_or_else(|| {
-            format!("pair ({s}, {t}) out of range (oracle has {} sites)", oracle.n_sites())
-        })?;
-        println!("{s} {t} {d}");
+        let n = oracle.n_sites();
+        if s >= n || t >= n {
+            return Err(format!("pair ({s}, {t}) out of range (oracle has {n} sites)"));
+        }
+        let (d, _) = oracle
+            .distance_many_checked_with_stats(&[(s as u32, t as u32)])
+            .map_err(|e| e.to_string())?;
+        println!("{s} {t} {}", d[0]);
     }
     Ok(())
 }

@@ -151,11 +151,11 @@ fn parallel_batches_equal_sequential_for_every_thread_count() {
         let par: Vec<u64> =
             h.distance_many_par(&pairs, threads).into_iter().map(f64::to_bits).collect();
         assert_eq!(par, seq, "threads = {threads}");
-        let tp = h.try_distance_many_par(&pairs, threads);
-        assert!(tp.iter().zip(&seq).all(|(d, &s)| d.map(f64::to_bits) == Some(s)));
     }
+    let (checked, _) = h.distance_many_checked_with_stats(&pairs).unwrap();
+    assert!(checked.iter().zip(&seq).all(|(d, &s)| d.to_bits() == s));
     assert!(h.distance_many_par(&[], 0).is_empty());
-    assert!(h.try_distance_many_par(&[], 3).is_empty());
+    assert!(h.distance_many_par(&[], 3).is_empty());
 }
 
 /// Contract 3 on the level-5 fixture (1089 mesh vertices before

@@ -89,3 +89,18 @@ pub fn tmp_dir(tag: &str) -> PathBuf {
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
+
+/// A site of the atlas image at `path` whose only tile is its home tile
+/// (no overlap-fringe copies elsewhere), so the query `(s, s)` reads that
+/// one tile and nothing else. Found by opening the image out of core and
+/// counting the tiles each such query loads.
+pub fn lone_member_site(path: &std::path::Path) -> usize {
+    let n = Atlas::open_out_of_core(path, usize::MAX).unwrap().n_sites();
+    (0..n)
+        .find(|&s| {
+            let atlas = Atlas::open_out_of_core(path, usize::MAX).unwrap();
+            atlas.distance(s, s);
+            atlas.tile_store().unwrap().stats().resident_tiles == 1
+        })
+        .expect("some site lives in its home tile only")
+}

@@ -4,13 +4,15 @@
 //! Covers the serving contract end to end: happy-path distance/path/stats
 //! verbs, protocol hardening (oversized frames, mid-frame disconnects),
 //! bounded-queue backpressure (`Busy`), graceful shutdown draining every
-//! admitted request, and the headline determinism property — answers over
-//! the socket are bit-identical to an in-process replay no matter how many
-//! clients the coalescer interleaves.
+//! admitted request, an out-of-core atlas whose backing file is rewritten
+//! mid-serve (typed errors, then recovery), and the headline determinism
+//! property — answers over the socket are bit-identical to an in-process
+//! replay no matter how many clients the coalescer interleaves.
 
 mod common;
 
-use common::build_p2p;
+use common::{build_p2p, lone_member_site, mesh_with_pois, refine_sites, tmp_dir};
+use se_oracle::atlas::{Atlas, AtlasConfig, AtlasHandle};
 use se_oracle::net::{
     Backend, Connection, ErrorCode, NetError, OracleServer, Request, Response, ServeConfig,
     StatsSnapshot, MAX_PAIRS_PER_REQUEST, WIRE_FRAME_CAP, WIRE_MAGIC, WIRE_VERSION,
@@ -20,6 +22,7 @@ use se_oracle::route::PathIndex;
 use se_oracle::serve::{pair_stream, QueryHandle};
 use std::io::Write;
 use std::net::SocketAddr;
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 use terrain_oracle::oracle as se_oracle;
@@ -409,4 +412,79 @@ fn eight_clients_are_bit_identical_to_serial_replay() {
     }
     assert_eq!(stats.requests, CLIENTS * REQUESTS);
     assert_eq!(stats.connections as usize, CLIENTS as usize + 1); // + shutdown conn
+}
+
+#[test]
+fn rewritten_atlas_file_errors_typed_then_recovers() {
+    let (mesh, pois) = mesh_with_pois(4, 0.6, 0xA7, 24);
+    let (refined, sites) = refine_sites(&mesh, &pois);
+    let atlas = Atlas::build_over_vertices(
+        Arc::new(refined.mesh),
+        sites,
+        0.25,
+        EngineKind::EdgeGraph,
+        &AtlasConfig::default(),
+    )
+    .unwrap();
+    let bytes = atlas.save_bytes();
+    let path = tmp_dir("net").join("rewritten.seat");
+    std::fs::write(&path, &bytes).unwrap();
+    let a = lone_member_site(&path);
+    let b = (0..atlas.n_sites()).find(|&b| atlas.tile_of_site(b) != atlas.tile_of_site(a)).unwrap();
+    let (pa, pb) = (vec![(a as u32, a as u32)], vec![(b as u32, b as u32)]);
+    // The in-process replay every socket answer must match bit for bit.
+    let replay = Atlas::load_bytes(&bytes).unwrap();
+    let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+    // One resident tile at a time; a's query leaves a's home resident.
+    let handle = AtlasHandle::new(Atlas::open_out_of_core(&path, 0).unwrap());
+    let (addr, server) = start(Backend::Atlas(handle), ServeConfig::default());
+    let mut c = Connection::connect(addr).unwrap();
+    let mut distances = |id: u64, pairs: &Vec<(u32, u32)>| {
+        c.roundtrip(&Request::Distance { id, pairs: pairs.clone() }).unwrap()
+    };
+    match distances(1, &pa) {
+        Response::Distances { distances, .. } => {
+            assert_eq!(bits(&distances), bits(&replay.distance_many(&pa)))
+        }
+        other => panic!("unexpected response: {other:?}"),
+    }
+
+    std::fs::write(&path, vec![0u8; bytes.len()]).unwrap();
+    match distances(2, &pb) {
+        Response::Error { id: 2, code: ErrorCode::CorruptImage, message } => assert!(
+            message.contains("tile") && message.contains("unavailable"),
+            "the error must name the tile: {message}"
+        ),
+        other => panic!("unexpected response: {other:?}"),
+    }
+    // Requests the resident tile can answer keep being answered.
+    match distances(3, &pa) {
+        Response::Distances { distances, .. } => {
+            assert_eq!(bits(&distances), bits(&replay.distance_many(&pa)))
+        }
+        other => panic!("unexpected response: {other:?}"),
+    }
+
+    std::fs::write(&path, &bytes).unwrap();
+    let mixed = pair_stream(0xF11E, 0, 64, replay.n_sites());
+    for (id, pairs) in [(4, &pb), (5, &mixed)] {
+        match distances(id, pairs) {
+            Response::Distances { distances, .. } => {
+                assert_eq!(bits(&distances), bits(&replay.distance_many(pairs)), "request {id}")
+            }
+            other => panic!("unexpected response: {other:?}"),
+        }
+    }
+
+    let text = match c.roundtrip(&Request::Metrics { id: 6 }).unwrap() {
+        Response::Metrics { text, .. } => text,
+        other => panic!("unexpected response: {other:?}"),
+    };
+    let metric = |name: &str| se_oracle::telemetry::lookup(&text, name);
+    assert_eq!(metric("serve_errors_total"), Some(1));
+    assert_eq!(metric("atlas_tile_load_failures_total"), Some(1));
+    assert!(metric("serve_probe_pairs_total").unwrap_or(0) > 0, "atlas legs count probes");
+    shutdown(addr);
+    server.join().unwrap();
 }

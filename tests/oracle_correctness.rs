@@ -132,15 +132,16 @@ fn efficient_query_equals_naive_query_everywhere() {
     let se = oracle.oracle();
     for s in 0..se.n_sites() {
         for t in 0..se.n_sites() {
-            let (eff, eff_stats) = se.distance_with_stats(s, t);
+            let (eff, eff_stats) =
+                se.distance_many_checked_with_stats(&[(s as u32, t as u32)]).unwrap();
             let (naive, naive_stats) = se.distance_naive(s, t);
-            assert_eq!(eff, naive, "({s},{t})");
+            assert_eq!(eff[0], naive, "({s},{t})");
             // O(h) vs O(h²): the efficient scan must never probe more.
             assert!(
-                eff_stats.pairs_checked <= naive_stats.pairs_checked,
+                eff_stats.probes <= naive_stats.probes,
                 "({s},{t}): {} > {}",
-                eff_stats.pairs_checked,
-                naive_stats.pairs_checked
+                eff_stats.probes,
+                naive_stats.probes
             );
         }
     }

@@ -6,15 +6,18 @@
 //!
 //! Also pins the PR's size acceptance: the compressed (v2) level-6 `SEAT`
 //! image is ≥ 2× smaller than v1, and serving it out-of-core stays within
-//! the `(1+ε)(1+EPS_QUANT)` budget.
+//! the `(1+ε)(1+EPS_QUANT)` budget — and that a backing file rewritten
+//! under a running store fails queries with a typed error, leaves the
+//! store healthy, and serves again once the bytes are back.
 
 mod common;
 
-use common::{mesh_with_pois, refine_sites, tmp_dir};
+use common::{lone_member_site, mesh_with_pois, refine_sites, tmp_dir};
 use std::sync::{Arc, OnceLock};
 use terrain_oracle::oracle::atlas::{Atlas, AtlasConfig, AtlasHandle};
 use terrain_oracle::oracle::serve::pair_stream;
-use terrain_oracle::oracle::EPS_QUANT;
+use terrain_oracle::oracle::telemetry::{lookup, Registry};
+use terrain_oracle::oracle::{QueryError, EPS_QUANT};
 use terrain_oracle::prelude::*;
 use terrain_oracle::terrain::tile::TileGridConfig;
 
@@ -182,4 +185,55 @@ fn compressed_level6_image_halves_and_serves_out_of_core() {
         resident.distance_many(&pairs).into_iter().map(f64::to_bits).collect();
     let ooc_bits: Vec<u64> = got.into_iter().map(f64::to_bits).collect();
     assert_eq!(resident_bits, ooc_bits, "lazy and eager decode of the same image diverged");
+}
+
+#[test]
+fn rewritten_backing_file_fails_typed_and_recovers() {
+    let atlas = level6_atlas();
+    let bytes = atlas.save_bytes();
+    let path = write_image("v1-rewritten", &bytes);
+    let a = lone_member_site(&path);
+    let b = (0..atlas.n_sites()).find(|&b| atlas.tile_of_site(b) != atlas.tile_of_site(a)).unwrap();
+    let (pa, pb) = ([(a as u32, a as u32)], [(b as u32, b as u32)]);
+
+    // A one-tile budget: after this query, a's home is the one resident tile.
+    let registry = Registry::new();
+    let ooc = Atlas::open_out_of_core_with(&path, 0, registry.clone()).unwrap();
+    let (warm, _) = ooc.distance_many_checked_with_stats(&pa).unwrap();
+
+    // Overwrite the backing file in place: the store's open handle now
+    // reads zeros, and b needs a tile that is not resident.
+    std::fs::write(&path, vec![0u8; bytes.len()]).unwrap();
+    match ooc.distance_many_checked_with_stats(&pb) {
+        Err(QueryError::TileUnavailable { tile }) => {
+            assert_ne!(tile, atlas.tile_of_site(a), "the resident tile needs no read")
+        }
+        other => panic!("expected TileUnavailable, got {other:?}"),
+    }
+    // The store is healthy: the resident tile still answers, and the
+    // failure is counted, not cached.
+    assert_eq!(ooc.distance_many_checked_with_stats(&pa).unwrap().0, warm);
+    let stats = ooc.tile_store().unwrap().stats();
+    assert_eq!(stats.load_failures, 1);
+    assert_eq!(stats.loads + stats.load_failures, stats.misses);
+    assert_eq!(stats.resident_tiles, 1);
+    assert_eq!(lookup(&registry.expose(), "atlas_tile_load_failures_total"), Some(1));
+    // Saving needs every tile, so it fails as an io::Error.
+    let err = ooc.save_to(&mut Vec::new()).unwrap_err();
+    assert!(err.to_string().contains("unavailable"), "{err}");
+
+    // Restore the bytes: the next miss reads the tile again, and answers
+    // are bit-identical to a resident load of the same image.
+    std::fs::write(&path, &bytes).unwrap();
+    let resident = Atlas::load_bytes(&bytes).unwrap();
+    let pairs = workload(atlas.n_sites());
+    for batch in [&pb[..], &pairs[..1000]] {
+        let (got, _) = ooc.distance_many_checked_with_stats(batch).unwrap();
+        let want = resident.distance_many(batch);
+        assert_eq!(
+            got.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
+            want.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
+            "answers after the restore diverged from the resident load"
+        );
+    }
 }

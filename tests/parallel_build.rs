@@ -15,7 +15,7 @@ use common::*;
 use std::sync::Arc;
 use terrain_oracle::geodesic::cache::CachingSiteSpace;
 use terrain_oracle::geodesic::{GraphSiteSpace, SiteSpace, SteinerGraph};
-use terrain_oracle::oracle::{BuildConfig, ConstructionMethod, SeOracle};
+use terrain_oracle::oracle::{BuildConfig, ConstructionMethod, QueryError, SeOracle};
 use terrain_oracle::prelude::*;
 
 fn cfg(threads: usize) -> BuildConfig {
@@ -163,6 +163,11 @@ fn try_distance_round_trips_through_persistence() {
     o.oracle().save_to(&mut buf).unwrap();
     let loaded = SeOracle::load_from(&mut buf.as_slice()).unwrap();
     let n = loaded.n_sites();
-    assert_eq!(loaded.try_distance(0, n), None);
-    assert_eq!(loaded.try_distance(0, n - 1), Some(loaded.distance(0, n - 1)));
+    let m = n as u32;
+    assert_eq!(
+        loaded.distance_many_checked_with_stats(&[(0, m)]),
+        Err(QueryError::SiteOutOfRange { index: 0, site: m, n_sites: n })
+    );
+    let (d, _) = loaded.distance_many_checked_with_stats(&[(0, m - 1)]).unwrap();
+    assert_eq!(d, vec![loaded.distance(0, n - 1)]);
 }

@@ -26,7 +26,10 @@
 //! still a distance) — the contract is no panic and a bounded decode
 //! (v2 varint counts can amplify transiently: a node record decodes to
 //! ~56 resident bytes from a few varint bytes, so this battery gets a
-//! correspondingly wider 32×input+64 KiB bound).
+//! correspondingly wider 32×input+64 KiB bound). Every tampered image
+//! that does load is then queried over every site pair through its
+//! checked kernel, which must answer or return a typed error — never
+//! panic.
 
 mod common;
 
@@ -37,7 +40,7 @@ use std::cell::Cell;
 use std::sync::{Arc, OnceLock};
 use terrain_oracle::oracle::atlas::{Atlas, AtlasConfig};
 use terrain_oracle::oracle::persist::PersistError;
-use terrain_oracle::oracle::SeOracle;
+use terrain_oracle::oracle::{ProbeStats, QueryError, SeOracle};
 use terrain_oracle::prelude::*;
 use terrain_oracle::terrain::tile::TileGridConfig;
 
@@ -212,20 +215,49 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// beyond 32×input+64 KiB (wider than the reject bound because a flip
 /// can legitimately parse — varint node records decode ~19× larger than
 /// their wire form, so a successful or nearly-successful decode costs
-/// real memory). The result itself may be `Ok` or any typed error.
+/// real memory). The result itself may be `Ok` or any typed error; an
+/// image that loads must then answer queries (see [`query_every_pair`]).
 fn assert_parse_contained(kind: Kind, bytes: &[u8], what: &str) {
     let bound = 32 * bytes.len() + 65536;
     reset_peak();
-    match kind {
-        Kind::Oracle => drop(SeOracle::load_bytes(bytes)),
-        Kind::Atlas => drop(Atlas::load_bytes(bytes)),
-    }
+    let (oracle, atlas) = match kind {
+        Kind::Oracle => (SeOracle::load_bytes(bytes).ok(), None),
+        Kind::Atlas => (None, Atlas::load_bytes(bytes).ok()),
+    };
     let observed = peak();
     assert!(
         observed <= bound,
         "{what}: allocation of {observed} bytes parsing a {}-byte tampered input",
         bytes.len()
     );
+    if let Some(o) = oracle {
+        query_every_pair(o.n_sites(), |p| o.distance_many_checked_with_stats(p), what);
+    }
+    if let Some(a) = atlas {
+        query_every_pair(a.n_sites(), |p| a.distance_many_checked_with_stats(p), what);
+    }
+}
+
+/// Queries every site pair of a loaded tampered image through its checked
+/// kernel, in one batch and one pair at a time (for an oracle, its dense
+/// and its scratch path). Each call must return — answers finite and
+/// non-negative, or a typed [`QueryError`]; a panic fails the test.
+fn query_every_pair(
+    n: usize,
+    kernel: impl Fn(&[(u32, u32)]) -> Result<(Vec<f64>, ProbeStats), QueryError>,
+    what: &str,
+) {
+    let pairs: Vec<(u32, u32)> =
+        (0..n as u32).flat_map(|s| (0..n as u32).map(move |t| (s, t))).collect();
+    let check = |answers: Result<(Vec<f64>, ProbeStats), QueryError>| {
+        if let Ok((d, _)) = answers {
+            assert!(d.iter().all(|&x| x.is_finite() && x >= 0.0), "{what}: answers {d:?}");
+        }
+    };
+    check(kernel(&pairs));
+    for pair in &pairs {
+        check(kernel(std::slice::from_ref(pair)));
+    }
 }
 
 /// Flips payload bytes and repairs the frame checksum so the corruption

@@ -1,9 +1,11 @@
 //! The query-serving subsystem's three contracts:
 //!
-//! 1. **Batch ≡ sequential** — `distance_many` / `try_distance_many` (and
-//!    their pool-sharded `_par` drivers) answer element-for-element
-//!    bit-identically to looping over `try_distance`, for arbitrary pair
-//!    slices including out-of-range and repeated ids.
+//! 1. **Batch ≡ sequential** — `distance_many`, the checked kernel
+//!    `distance_many_checked_with_stats` and the pool-sharded
+//!    `distance_many_par` answer element-for-element bit-identically to
+//!    looping over single pairs, for arbitrary pair slices including
+//!    out-of-range and repeated ids (the first out-of-range pair is the
+//!    batch's typed error).
 //! 2. **Concurrent ≡ serial** — any number of threads hammering clones of
 //!    one shared [`QueryHandle`] observe exactly the answers a
 //!    single-threaded replay produces (the query path has no interior
@@ -18,7 +20,7 @@ mod common;
 use common::*;
 use proptest::prelude::*;
 use std::sync::OnceLock;
-use terrain_oracle::oracle::{BuildConfig, SeOracle};
+use terrain_oracle::oracle::{BuildConfig, QueryError, SeOracle};
 use terrain_oracle::prelude::*;
 
 /// One shared serving fixture for the whole file: built once, then only
@@ -48,14 +50,30 @@ proptest! {
     ) {
         let h = shared_handle();
         prop_assert!(h.n_sites() < 48, "id range must reach out of range");
-        let want: Vec<Option<u64>> = pairs
+        // Looping over single pairs: the first out-of-range one is the
+        // batch's error, re-indexed to its position in the batch.
+        let want: Result<Vec<u64>, QueryError> = pairs
             .iter()
-            .map(|&(s, t)| h.try_distance(s as usize, t as usize).map(f64::to_bits))
+            .enumerate()
+            .map(|(index, &pair)| match h.distance_many_checked_with_stats(&[pair]) {
+                Ok((d, _)) => Ok(d[0].to_bits()),
+                Err(QueryError::SiteOutOfRange { site, n_sites, .. }) => {
+                    Err(QueryError::SiteOutOfRange { index, site, n_sites })
+                }
+                Err(e) => Err(e),
+            })
             .collect();
-        for got in [h.try_distance_many(&pairs), h.try_distance_many_par(&pairs, threads)] {
-            let got: Vec<Option<u64>> =
-                got.into_iter().map(|d| d.map(f64::to_bits)).collect();
-            prop_assert_eq!(&got, &want);
+        let got = h
+            .distance_many_checked_with_stats(&pairs)
+            .map(|(d, _)| d.into_iter().map(f64::to_bits).collect::<Vec<u64>>());
+        prop_assert_eq!(&got, &want);
+        let par = std::panic::catch_unwind(|| h.distance_many_par(&pairs, threads));
+        match want {
+            Ok(bits) => {
+                let par: Vec<u64> = par.unwrap().into_iter().map(f64::to_bits).collect();
+                prop_assert_eq!(par, bits);
+            }
+            Err(_) => prop_assert!(par.is_err(), "_par must panic where the kernel errs"),
         }
     }
 
