@@ -30,8 +30,8 @@ mod stats;
 pub use client::Connection;
 pub use protocol::{
     decode_request, decode_response, encode_request, encode_response, ErrorCode, FrameReader,
-    Request, Response, StatsSnapshot, MAX_METRICS_TEXT, MAX_PAIRS_PER_REQUEST, MAX_PATH_POINTS,
-    WIRE_FRAME_CAP, WIRE_MAGIC, WIRE_VERSION,
+    Request, Response, MAX_METRICS_TEXT, MAX_PAIRS_PER_REQUEST, MAX_PATH_POINTS, WIRE_FRAME_CAP,
+    WIRE_MAGIC, WIRE_VERSION,
 };
 pub use server::{Backend, OracleServer, ServeConfig};
 

@@ -1,6 +1,5 @@
 //! Wire protocol for `oracled`: length-prefixed binary frames carrying
-//! distance / path / stats / metrics / shutdown requests and their
-//! responses.
+//! distance / path / metrics / shutdown requests and their responses.
 //!
 //! A wire frame is **exactly** the persisted-image frame of [`crate::persist`]
 //! — magic, version, declared payload length, payload, FNV-1a checksum —
@@ -33,8 +32,10 @@ use crate::persist::{parse_frame_header, read_framed, write_framed, Cursor, Pers
 pub const WIRE_MAGIC: [u8; 4] = *b"SEWF";
 
 /// Wire protocol version; bumped on any frame- or payload-layout change.
-/// Version 2 added the `Metrics` verb (request kind 5, response kind 7).
-pub const WIRE_VERSION: u32 = 2;
+/// Version 2 added the `Metrics` verb (request kind 5, response kind 7);
+/// version 3 retired the `Stats` verb, whose kind bytes (request 3,
+/// response 5) are never reused.
+pub const WIRE_VERSION: u32 = 3;
 
 /// Hard cap on a wire frame's declared payload length. Anything larger is
 /// rejected from the 16-byte header alone — before a single payload byte
@@ -62,7 +63,6 @@ pub const MAX_METRICS_TEXT: usize = WIRE_FRAME_CAP as usize / 2;
 
 const REQ_DISTANCE: u8 = 1;
 const REQ_PATH: u8 = 2;
-const REQ_STATS: u8 = 3;
 const REQ_SHUTDOWN: u8 = 4;
 const REQ_METRICS: u8 = 5;
 
@@ -70,7 +70,6 @@ const RESP_DISTANCES: u8 = 1;
 const RESP_PATH: u8 = 2;
 const RESP_BUSY: u8 = 3;
 const RESP_ERROR: u8 = 4;
-const RESP_STATS: u8 = 5;
 const RESP_SHUTTING_DOWN: u8 = 6;
 const RESP_METRICS: u8 = 7;
 
@@ -93,13 +92,8 @@ pub enum Request {
         /// Target site id.
         t: u32,
     },
-    /// Ask for the server's aggregate counters.
-    Stats {
-        /// Client-chosen token echoed on the response.
-        id: u64,
-    },
-    /// Ask for the server's full metrics registry in text exposition
-    /// format (the scrape-friendly superset of `Stats`).
+    /// Ask for the server's metrics registry in text exposition format:
+    /// every counter the server keeps leaves through this verb.
     Metrics {
         /// Client-chosen token echoed on the response.
         id: u64,
@@ -157,37 +151,6 @@ impl ErrorCode {
     }
 }
 
-/// Aggregate server counters, as reported by the `STATS` verb.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct StatsSnapshot {
-    /// Sites the backend image covers.
-    pub n_sites: u64,
-    /// The backend image's approximation parameter ε.
-    pub epsilon: f64,
-    /// Connections accepted since startup.
-    pub connections: u64,
-    /// Distance/path requests admitted (not counting `Busy` rejections).
-    pub requests: u64,
-    /// Total pairs across admitted distance requests.
-    pub pairs: u64,
-    /// Coalesced batches executed.
-    pub batches: u64,
-    /// Requests rejected with `Busy` (bounded-queue backpressure).
-    pub busy_rejections: u64,
-    /// Frames that failed to decode (each closes its connection).
-    pub malformed: u64,
-    /// Requests answered with an `Error` response.
-    pub errors: u64,
-    /// Queue depth observed after the most recent batch was drained.
-    pub queue_depth: u64,
-    /// High-water mark of the request queue.
-    pub max_queue_depth: u64,
-    /// Power-of-two histogram of pairs-per-batch: bucket `i` counts
-    /// batches whose pair total lies in `(2^(i-1), 2^i]` (bucket 0: one
-    /// pair).
-    pub batch_size_hist: Vec<u64>,
-}
-
 /// A server→client message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
@@ -226,18 +189,12 @@ pub enum Response {
         /// Human-readable detail.
         message: String,
     },
-    /// Counters for a [`Request::Stats`].
-    Stats {
-        /// Echo of the request id.
-        id: u64,
-        /// The counters at snapshot time.
-        stats: StatsSnapshot,
-    },
     /// Registry snapshot for a [`Request::Metrics`].
     Metrics {
         /// Echo of the request id.
         id: u64,
-        /// Text exposition of the server's metrics registry
+        /// Text exposition of the server's metrics registry, followed by
+        /// the tile store's registry for an out-of-core atlas
         /// ([`obs::Registry::expose`] output), truncated at
         /// [`MAX_METRICS_TEXT`] bytes.
         text: String,
@@ -292,10 +249,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             put_u32(&mut p, *s);
             put_u32(&mut p, *t);
         }
-        Request::Stats { id } => {
-            p.push(REQ_STATS);
-            put_u64(&mut p, *id);
-        }
         Request::Metrics { id } => {
             p.push(REQ_METRICS);
             put_u64(&mut p, *id);
@@ -337,7 +290,6 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, PersistError> {
             let t = c.u32()?;
             Request::Path { id, s, t }
         }
-        REQ_STATS => Request::Stats { id },
         REQ_METRICS => Request::Metrics { id },
         REQ_SHUTDOWN => Request::Shutdown { id },
         _ => return Err(PersistError::Corrupt("unknown request kind")),
@@ -384,25 +336,6 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             let take = msg.len().min(1024);
             put_u32(&mut p, take as u32);
             p.extend_from_slice(&msg[..take]);
-        }
-        Response::Stats { id, stats } => {
-            p.push(RESP_STATS);
-            put_u64(&mut p, *id);
-            put_u64(&mut p, stats.n_sites);
-            put_f64(&mut p, stats.epsilon);
-            put_u64(&mut p, stats.connections);
-            put_u64(&mut p, stats.requests);
-            put_u64(&mut p, stats.pairs);
-            put_u64(&mut p, stats.batches);
-            put_u64(&mut p, stats.busy_rejections);
-            put_u64(&mut p, stats.malformed);
-            put_u64(&mut p, stats.errors);
-            put_u64(&mut p, stats.queue_depth);
-            put_u64(&mut p, stats.max_queue_depth);
-            put_u32(&mut p, stats.batch_size_hist.len() as u32);
-            for &b in &stats.batch_size_hist {
-                put_u64(&mut p, b);
-            }
         }
         Response::Metrics { id, text } => {
             p.push(RESP_METRICS);
@@ -462,44 +395,6 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, PersistError> {
             }
             let message = String::from_utf8_lossy(c.take(n)?).into_owned();
             Response::Error { id, code, message }
-        }
-        RESP_STATS => {
-            let n_sites = c.u64()?;
-            let epsilon = c.f64()?;
-            let connections = c.u64()?;
-            let requests = c.u64()?;
-            let pairs = c.u64()?;
-            let batches = c.u64()?;
-            let busy_rejections = c.u64()?;
-            let malformed = c.u64()?;
-            let errors = c.u64()?;
-            let queue_depth = c.u64()?;
-            let max_queue_depth = c.u64()?;
-            let n = c.u32()? as usize;
-            if n > c.remaining() / 8 {
-                return Err(PersistError::Corrupt("truncated stats histogram"));
-            }
-            let mut batch_size_hist = Vec::with_capacity(n);
-            for _ in 0..n {
-                batch_size_hist.push(c.u64()?);
-            }
-            Response::Stats {
-                id,
-                stats: StatsSnapshot {
-                    n_sites,
-                    epsilon,
-                    connections,
-                    requests,
-                    pairs,
-                    batches,
-                    busy_rejections,
-                    malformed,
-                    errors,
-                    queue_depth,
-                    max_queue_depth,
-                    batch_size_hist,
-                },
-            }
         }
         RESP_METRICS => {
             let n = c.u32()? as usize;
@@ -588,7 +483,6 @@ mod tests {
             Request::Distance { id: 7, pairs: vec![(0, 1), (2, 3)] },
             Request::Distance { id: 8, pairs: vec![] },
             Request::Path { id: 9, s: 4, t: 5 },
-            Request::Stats { id: 10 },
             Request::Metrics { id: 12 },
             Request::Shutdown { id: 11 },
         ];
@@ -612,16 +506,6 @@ mod tests {
                 id: 4,
                 code: ErrorCode::SiteOutOfRange,
                 message: "site 99 out of range".into(),
-            },
-            Response::Stats {
-                id: 5,
-                stats: StatsSnapshot {
-                    n_sites: 32,
-                    epsilon: 0.25,
-                    requests: 100,
-                    batch_size_hist: vec![0; 17],
-                    ..StatsSnapshot::default()
-                },
             },
             Response::Metrics {
                 id: 7,
@@ -660,7 +544,7 @@ mod tests {
 
     #[test]
     fn frame_reader_handles_split_and_pipelined_frames() {
-        let a = encode_request(&Request::Stats { id: 1 });
+        let a = encode_request(&Request::Metrics { id: 1 });
         let b = encode_request(&Request::Distance { id: 2, pairs: vec![(0, 1)] });
         let mut stream = Vec::new();
         stream.extend_from_slice(&a);
@@ -676,13 +560,13 @@ mod tests {
         }
         assert_eq!(
             out,
-            vec![Request::Stats { id: 1 }, Request::Distance { id: 2, pairs: vec![(0, 1)] }]
+            vec![Request::Metrics { id: 1 }, Request::Distance { id: 2, pairs: vec![(0, 1)] }]
         );
     }
 
     #[test]
     fn oversized_declared_length_rejected_from_header() {
-        let mut framed = encode_request(&Request::Stats { id: 1 });
+        let mut framed = encode_request(&Request::Metrics { id: 1 });
         framed[8..16].copy_from_slice(&(WIRE_FRAME_CAP + 1).to_le_bytes());
         let mut fr = FrameReader::new();
         fr.feed(&framed);
@@ -696,8 +580,38 @@ mod tests {
     }
 
     #[test]
+    fn frames_stamped_with_an_older_wire_version_are_refused() {
+        let mut framed = encode_request(&Request::Metrics { id: 1 });
+        framed[4..8].copy_from_slice(&2u32.to_le_bytes());
+        let mut fr = FrameReader::new();
+        fr.feed(&framed);
+        match fr.next_payload() {
+            Err(PersistError::BadVersion { found: 2, supported: 3 }) => {}
+            other => panic!("expected BadVersion {{ found: 2, supported: 3 }}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn retired_stats_kind_bytes_do_not_decode() {
+        // Request kind 3 and response kind 5 carried the `Stats` verb up
+        // to wire version 2; they stay unassigned.
+        let mut req = vec![3u8];
+        req.extend_from_slice(&1u64.to_le_bytes());
+        match decode_request(&req) {
+            Err(PersistError::Corrupt(msg)) => assert_eq!(msg, "unknown request kind"),
+            other => panic!("expected an unknown request kind, got {other:?}"),
+        }
+        let mut resp = vec![5u8];
+        resp.extend_from_slice(&1u64.to_le_bytes());
+        match decode_response(&resp) {
+            Err(PersistError::Corrupt(msg)) => assert_eq!(msg, "unknown response kind"),
+            other => panic!("expected an unknown response kind, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn image_magic_is_rejected_on_the_wire() {
-        let mut framed = encode_request(&Request::Stats { id: 1 });
+        let mut framed = encode_request(&Request::Metrics { id: 1 });
         framed[0..4].copy_from_slice(b"SEOR");
         let mut fr = FrameReader::new();
         fr.feed(&framed);

@@ -28,18 +28,19 @@
 //! dropped.
 
 use super::protocol::{
-    decode_request, encode_response, ErrorCode, FrameReader, Request, Response, StatsSnapshot,
-    MAX_PATH_POINTS,
+    decode_request, encode_response, ErrorCode, FrameReader, Request, Response, MAX_PATH_POINTS,
 };
 use super::stats::Counters;
-use crate::atlas::AtlasHandle;
-use crate::oracle::{ProbeStats, QueryError};
+use crate::atlas::{Atlas, AtlasHandle};
+use crate::oracle::{ProbeStats, QueryError, SeOracle};
+use crate::persist::{PersistError, ATLAS_MAGIC, ORACLE_MAGIC};
 use crate::serve::QueryHandle;
 use obs::log;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown as SockShutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -83,19 +84,50 @@ pub enum Backend {
 }
 
 impl Backend {
+    /// Opens the image at `path`, choosing the loader from its 4-byte
+    /// magic alone, so the file never has to be named truthfully: an
+    /// oracle (`SEOR`) or atlas (`SEAT`) image loads resident, and with a
+    /// `resident_budget` an atlas opens out of core instead (tiles decode
+    /// lazily, at most that many decoded bytes resident).
+    ///
+    /// # Errors
+    ///
+    /// [`PersistError::BadMagic`] for a file that is neither image kind,
+    /// an `InvalidInput` I/O error for a budget on an oracle image (which
+    /// is monolithic and always loads whole), and any error of the chosen
+    /// loader.
+    pub fn open(path: &Path, resident_budget: Option<usize>) -> Result<Backend, PersistError> {
+        let mut file = std::fs::File::open(path)?;
+        let mut head = Vec::with_capacity(4);
+        (&mut file).take(4).read_to_end(&mut head)?;
+        let mut magic = [0u8; 4];
+        magic[..head.len()].copy_from_slice(&head);
+        // The loaders parse the whole frame, magic included.
+        let mut image = head.as_slice().chain(file);
+        match (magic, resident_budget) {
+            (ORACLE_MAGIC, None) => {
+                Ok(Backend::Oracle(QueryHandle::new(SeOracle::load_from(&mut image)?)))
+            }
+            (ORACLE_MAGIC, Some(_)) => Err(PersistError::Io(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "a resident budget applies only to atlas (SEAT) images; \
+                 an oracle (SEOR) image always loads whole",
+            ))),
+            (ATLAS_MAGIC, None) => {
+                Ok(Backend::Atlas(AtlasHandle::new(Atlas::load_from(&mut image)?)))
+            }
+            (ATLAS_MAGIC, Some(budget)) => {
+                Ok(Backend::Atlas(AtlasHandle::new(Atlas::open_out_of_core(path, budget)?)))
+            }
+            _ => Err(PersistError::BadMagic(magic)),
+        }
+    }
+
     /// Sites the image covers.
     pub fn n_sites(&self) -> usize {
         match self {
             Backend::Oracle(h) => h.n_sites(),
             Backend::Atlas(h) => h.n_sites(),
-        }
-    }
-
-    /// The image's approximation parameter ε.
-    pub fn epsilon(&self) -> f64 {
-        match self {
-            Backend::Oracle(h) => h.epsilon(),
-            Backend::Atlas(h) => h.epsilon(),
         }
     }
 
@@ -223,11 +255,11 @@ impl OracleServer {
     pub fn bind<A: ToSocketAddrs>(addr: A, backend: Backend, cfg: ServeConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let shared = Arc::new(Shared {
+            stats: Counters::new(obs::Registry::new(), backend.n_sites()),
             backend,
             cfg,
             queue: Mutex::new(VecDeque::new()),
             job_ready: Condvar::new(),
-            stats: Counters::new(obs::Registry::new()),
             shutdown: AtomicBool::new(false),
         });
         Ok(OracleServer { listener, shared })
@@ -239,15 +271,13 @@ impl OracleServer {
     }
 
     /// Accepts and serves connections until a client sends the `SHUTDOWN`
-    /// verb, then drains in-flight work and returns the final counters.
-    pub fn serve(self) -> StatsSnapshot {
+    /// verb, then drains in-flight work and returns the final counters as
+    /// the `Metrics` verb would render them.
+    pub fn serve(self) -> String {
         if self.listener.set_nonblocking(true).is_err() {
             // Without a non-blocking acceptor the shutdown flag could
             // never interrupt accept(); refuse to serve rather than hang.
-            return self
-                .shared
-                .stats
-                .snapshot(self.shared.backend.n_sites(), self.shared.backend.epsilon());
+            return metrics_text(&self.shared);
         }
         let batcher = {
             let sh = Arc::clone(&self.shared);
@@ -288,8 +318,21 @@ impl OracleServer {
                 ("errors", self.shared.stats.errors.get().to_string()),
             ],
         );
-        self.shared.stats.snapshot(self.shared.backend.n_sites(), self.shared.backend.epsilon())
+        metrics_text(&self.shared)
     }
+}
+
+/// The text exposition of every counter the server keeps: its own
+/// registry, then — for an out-of-core atlas — the tile store's registry
+/// with the residency counters, so one scrape sees both.
+fn metrics_text(sh: &Shared) -> String {
+    let mut text = sh.stats.registry.expose();
+    if let Backend::Atlas(h) = &sh.backend {
+        if let Some(store) = h.tile_store() {
+            text.push_str(&store.registry().expose());
+        }
+    }
+    text
 }
 
 impl std::fmt::Debug for OracleServer {
@@ -468,20 +511,8 @@ fn handle_frame(payload: &[u8], sh: &Arc<Shared>, tx: &mpsc::Sender<Vec<u8>>) ->
             }
             enqueue(sh, tx, id, Job::Path { id, s, t, reply: tx.clone() });
         }
-        Request::Stats { id } => {
-            let stats = sh.stats.snapshot(sh.backend.n_sites(), sh.backend.epsilon());
-            let _ = tx.send(encode_response(&Response::Stats { id, stats }));
-        }
         Request::Metrics { id } => {
-            let mut text = sh.stats.registry.expose();
-            // An out-of-core atlas keeps its residency counters in the
-            // tile store's registry; append them so one scrape sees both.
-            if let Backend::Atlas(h) = &sh.backend {
-                if let Some(store) = h.tile_store() {
-                    text.push_str(&store.registry().expose());
-                }
-            }
-            let _ = tx.send(encode_response(&Response::Metrics { id, text }));
+            let _ = tx.send(encode_response(&Response::Metrics { id, text: metrics_text(sh) }));
         }
         Request::Shutdown { id } => {
             // Ack first (the frame is already queued to the writer before

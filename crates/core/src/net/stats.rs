@@ -6,25 +6,17 @@
 //! hot path (request admission, batch completion) never touches a lock,
 //! which keeps this file inside the `query-path` lint contract — the
 //! registry's own locking happens once, in [`Counters::new`], before
-//! serving starts. A [`StatsSnapshot`] read is a set of independent
-//! relaxed loads: each counter is exact, the set as a whole is a
-//! point-in-time approximation (fine for an operational `STATS` verb).
+//! serving starts, and again only when the registry is rendered.
 //!
-//! The same registry is what the wire `Metrics` verb exposes, so
-//! `oracle-loadgen --metrics` and `bench snapshot` read exactly the
-//! counters the server serves from.
+//! The registry is the one way counters leave the server: the wire
+//! `Metrics` verb and `OracleServer::serve`'s return value both render
+//! it, so `oracle-loadgen --metrics`, `oracled`'s exit dump and the
+//! benchmark read exactly the counters the server serves from.
 
 // lint: query-path
 
-use super::protocol::StatsSnapshot;
 use obs::{Counter, Gauge, Histogram, Registry};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Number of power-of-two batch-size buckets: bucket 16 absorbs every
-/// batch above 32768 pairs (half the per-request cap, so realistic
-/// coalesced batches always land in a real bucket).
-pub(crate) const HIST_BUCKETS: usize = 17;
 
 /// Aggregate serving counters shared by every connection thread and the
 /// batcher, registered in one per-server [`Registry`].
@@ -48,22 +40,14 @@ pub(crate) struct Counters {
     queue_depth: Arc<Gauge>,
     max_queue_depth: Arc<Gauge>,
     batch_pairs: Arc<Histogram>,
-    /// Wire-format power-of-two histogram (the `StatsSnapshot` layout
-    /// predates the registry's log-linear buckets and is kept
-    /// bit-compatible).
-    batch_hist: [AtomicU64; HIST_BUCKETS],
-}
-
-/// Histogram bucket for a batch of `pairs` pairs: `⌈log2(pairs)⌉`, clamped
-/// to the last bucket (bucket 0 holds single-pair batches).
-fn bucket(pairs: usize) -> usize {
-    let p = pairs.max(1) as u64;
-    ((64 - (p - 1).leading_zeros()) as usize).min(HIST_BUCKETS - 1)
 }
 
 impl Counters {
     /// Registers every serving metric in `registry` and keeps the handles.
-    pub(crate) fn new(registry: Registry) -> Counters {
+    /// `n_sites` — the served image's site count, which clients need to
+    /// draw valid ids — is published once as the `serve_sites` gauge.
+    pub(crate) fn new(registry: Registry, n_sites: usize) -> Counters {
+        registry.gauge("serve_sites").set(n_sites as u64);
         Counters {
             connections: registry.counter("serve_connections_total"),
             requests: registry.counter("serve_requests_total"),
@@ -77,7 +61,6 @@ impl Counters {
             queue_depth: registry.gauge("serve_queue_depth"),
             max_queue_depth: registry.gauge("serve_queue_depth_max"),
             batch_pairs: registry.histogram("serve_batch_pairs"),
-            batch_hist: std::array::from_fn(|_| AtomicU64::new(0)),
             registry,
         }
     }
@@ -93,26 +76,6 @@ impl Counters {
     pub(crate) fn note_batch(&self, pairs: usize) {
         self.batches.inc();
         self.batch_pairs.observe(pairs as u64);
-        self.batch_hist[bucket(pairs)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Point-in-time snapshot; `n_sites`/`epsilon` describe the backend
-    /// image and come from the caller.
-    pub(crate) fn snapshot(&self, n_sites: usize, epsilon: f64) -> StatsSnapshot {
-        StatsSnapshot {
-            n_sites: n_sites as u64,
-            epsilon,
-            connections: self.connections.get(),
-            requests: self.requests.get(),
-            pairs: self.pairs.get(),
-            batches: self.batches.get(),
-            busy_rejections: self.busy_rejections.get(),
-            malformed: self.malformed.get(),
-            errors: self.errors.get(),
-            queue_depth: self.queue_depth.get(),
-            max_queue_depth: self.max_queue_depth.get(),
-            batch_size_hist: self.batch_hist.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
-        }
     }
 }
 
@@ -121,41 +84,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bucket_boundaries() {
-        assert_eq!(bucket(0), 0);
-        assert_eq!(bucket(1), 0);
-        assert_eq!(bucket(2), 1);
-        assert_eq!(bucket(3), 2);
-        assert_eq!(bucket(4), 2);
-        assert_eq!(bucket(5), 3);
-        assert_eq!(bucket(1 << 16), 16);
-        assert_eq!(bucket(usize::MAX), HIST_BUCKETS - 1);
-    }
-
-    #[test]
-    fn snapshot_reflects_notes() {
-        let c = Counters::new(Registry::new());
-        c.note_depth(3);
-        c.note_depth(1);
-        c.note_batch(5);
-        c.note_batch(1);
-        let s = c.snapshot(10, 0.25);
-        assert_eq!(s.n_sites, 10);
-        assert_eq!(s.queue_depth, 1);
-        assert_eq!(s.max_queue_depth, 3);
-        assert_eq!(s.batches, 2);
-        assert_eq!(s.batch_size_hist[0], 1);
-        assert_eq!(s.batch_size_hist[3], 1);
-    }
-
-    #[test]
     fn registry_mirrors_the_wire_counters() {
-        let c = Counters::new(Registry::new());
+        let c = Counters::new(Registry::new(), 10);
         c.requests.add(4);
         c.pairs.add(64);
         c.note_batch(64);
         c.note_depth(2);
         let text = c.registry.expose();
+        assert_eq!(obs::lookup(&text, "serve_sites"), Some(10));
         assert_eq!(obs::lookup(&text, "serve_requests_total"), Some(4));
         assert_eq!(obs::lookup(&text, "serve_pairs_total"), Some(64));
         assert_eq!(obs::lookup(&text, "serve_batches_total"), Some(1));

@@ -5,7 +5,6 @@
 //! ```text
 //! oracle-loadgen --addr 127.0.0.1:7474 --clients 8 --requests 200 --pairs 64
 //! oracle-loadgen --addr 127.0.0.1:7474 --verify --image oracle.seor
-//! oracle-loadgen --addr 127.0.0.1:7474 --stats
 //! oracle-loadgen --addr 127.0.0.1:7474 --metrics
 //! oracle-loadgen --addr 127.0.0.1:7474 --shutdown
 //! ```
@@ -15,15 +14,13 @@
 //! stream `c·requests + r`, so a serial in-process replay regenerates any
 //! worker's workload exactly. That is what makes `--verify` meaningful:
 //! socket answers must equal `distance_many` on the same image, bit for
-//! bit, regardless of how the server coalesced them.
+//! bit, regardless of how the server coalesced them. The workload's id
+//! range comes from the server's `serve_sites` gauge, read through the
+//! `Metrics` verb; `--verify` refuses an image with another site count.
 
-use se_oracle::atlas::{Atlas, AtlasHandle};
-use se_oracle::net::{Connection, NetError, Request, Response};
-use se_oracle::oracle::SeOracle;
-use se_oracle::persist::{ATLAS_MAGIC, ORACLE_MAGIC};
-use se_oracle::serve::{pair_stream, QueryHandle};
+use se_oracle::net::{Backend, Connection, NetError, Request, Response};
+use se_oracle::serve::pair_stream;
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const USAGE: &str = "\
@@ -33,9 +30,8 @@ USAGE:
   oracle-loadgen --addr <host:port> [--clients <n>] [--requests <n>]
                  [--pairs <n>] [--salt <u64>]
                  [--verify --image <file.seor|file.seat>]
-  oracle-loadgen --addr <host:port> --stats      print server counters
-  oracle-loadgen --addr <host:port> --metrics    print the server's metrics
-                                                 registry (text exposition)
+  oracle-loadgen --addr <host:port> --metrics    print the server's counters
+                                                 (metrics text exposition)
   oracle-loadgen --addr <host:port> --shutdown   stop the server
 
 OPTIONS:
@@ -45,7 +41,8 @@ OPTIONS:
   --salt <u64>     workload seed (default 42)
   --verify         assert every socket answer is bit-identical to an
                    in-process distance_many replay of the same image
-  --image <file>   the image oracled serves (required with --verify)
+  --image <file>   the image oracled serves (required with --verify; its
+                   site count must match the server's)
 
 Latency quantiles (p50/p95/p99/p99.9) come from a log-bucketed histogram of
 completed round trips (<= 25% relative bucket error; max is exact). The load
@@ -120,38 +117,6 @@ fn connect(addr: &str) -> Result<Connection, String> {
     }
 }
 
-/// The in-process reference for `--verify`: the same batch API the server
-/// coalesces into, over the same image bytes.
-#[derive(Clone)]
-enum Reference {
-    Oracle(QueryHandle),
-    Atlas(AtlasHandle),
-}
-
-impl Reference {
-    fn load(path: &str) -> Result<Self, String> {
-        let bytes = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
-        match bytes.get(..4) {
-            Some(m) if m == ORACLE_MAGIC => {
-                let o = SeOracle::load_bytes(&bytes).map_err(|e| format!("loading {path}: {e}"))?;
-                Ok(Reference::Oracle(QueryHandle::new(o)))
-            }
-            Some(m) if m == ATLAS_MAGIC => {
-                let a = Atlas::load_bytes(&bytes).map_err(|e| format!("loading {path}: {e}"))?;
-                Ok(Reference::Atlas(AtlasHandle::new(a)))
-            }
-            _ => Err(format!("{path}: not an oracle (.seor) or atlas (.seat) image")),
-        }
-    }
-
-    fn distance_many(&self, pairs: &[(u32, u32)]) -> Vec<f64> {
-        match self {
-            Reference::Oracle(h) => h.distance_many(pairs),
-            Reference::Atlas(h) => h.distance_many(pairs),
-        }
-    }
-}
-
 struct ClientReport {
     latencies_us: Vec<u64>,
     pairs_answered: u64,
@@ -168,7 +133,7 @@ fn client_worker(
     pairs_per_req: usize,
     salt: u64,
     n_sites: usize,
-    reference: Option<Arc<Reference>>,
+    reference: Option<Backend>,
 ) -> Result<ClientReport, String> {
     let mut conn = connect(&addr)?;
     let mut report = ClientReport {
@@ -209,7 +174,10 @@ fn client_worker(
                 }
                 report.pairs_answered += distances.len() as u64;
                 if let Some(reference) = &reference {
-                    let expect = reference.distance_many(&pairs);
+                    let expect = match reference {
+                        Backend::Oracle(h) => h.distance_many(&pairs),
+                        Backend::Atlas(h) => h.distance_many(&pairs),
+                    };
                     for (i, (&got, &want)) in distances.iter().zip(expect.iter()).enumerate() {
                         if got.to_bits() != want.to_bits() {
                             if report.mismatches < 3 {
@@ -255,17 +223,6 @@ fn run(args: Vec<String>) -> Result<(), String> {
             }
             Err(e) => Err(e.to_string()),
         }
-    } else if take_flag(&mut rest, "--stats") {
-        reject_leftovers(&rest)?;
-        let mut conn = connect(&addr)?;
-        match conn.roundtrip(&Request::Stats { id: 0 }) {
-            Ok(Response::Stats { stats, .. }) => {
-                println!("{stats:#?}");
-                Ok(())
-            }
-            Ok(other) => Err(format!("unexpected response {other:?}")),
-            Err(e) => Err(e.to_string()),
-        }
     } else if take_flag(&mut rest, "--metrics") {
         reject_leftovers(&rest)?;
         let mut conn = connect(&addr)?;
@@ -292,29 +249,40 @@ fn run(args: Vec<String>) -> Result<(), String> {
             return Err("--clients, --requests and --pairs must be positive".into());
         }
 
-        let reference = if verify {
-            let path = image.ok_or("--verify requires --image <file>")?;
-            Some(Arc::new(Reference::load(&path)?))
-        } else {
-            None
+        let reference = match (verify, image) {
+            (true, Some(path)) => Some(
+                Backend::open(std::path::Path::new(&path), None)
+                    .map_err(|e| format!("loading {path}: {e}"))?,
+            ),
+            (true, None) => return Err("--verify requires --image <file>".into()),
+            (false, _) => None,
         };
 
         // One control roundtrip for the workload domain.
         let mut control = connect(&addr)?;
-        let stats = match control.roundtrip(&Request::Stats { id: 0 }) {
-            Ok(Response::Stats { stats, .. }) => stats,
+        let text = match control.roundtrip(&Request::Metrics { id: 0 }) {
+            Ok(Response::Metrics { text, .. }) => text,
             Ok(other) => return Err(format!("unexpected response {other:?}")),
             Err(e) => return Err(e.to_string()),
         };
-        let n_sites = stats.n_sites as usize;
+        let n_sites = se_oracle::telemetry::lookup(&text, "serve_sites")
+            .ok_or("server metrics carry no serve_sites gauge")? as usize;
         if n_sites == 0 {
             return Err("server reports an image with 0 sites".into());
+        }
+        if let Some(reference) = &reference {
+            if reference.n_sites() != n_sites {
+                return Err(format!(
+                    "--image has {} sites but the server at {addr} serves {n_sites}; \
+                     --verify needs the image the server serves",
+                    reference.n_sites()
+                ));
+            }
         }
 
         println!(
             "oracle-loadgen: {clients} clients x {requests} requests x {pairs_per_req} pairs \
-             against {addr} ({n_sites} sites, eps {})",
-            stats.epsilon
+             against {addr} ({n_sites} sites)"
         );
 
         let t0 = Instant::now();

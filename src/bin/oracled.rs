@@ -5,16 +5,12 @@
 //! oracled --image oracle.seor --addr 127.0.0.1:7474
 //! ```
 //!
-//! The image kind is sniffed from the magic bytes. The daemon runs until a
-//! client sends the protocol's `SHUTDOWN` verb (`oracle-loadgen
-//! --shutdown`), drains every admitted request, prints the final counters,
-//! and exits.
+//! `Backend::open` picks the image kind from the magic bytes. The daemon
+//! runs until a client sends the protocol's `SHUTDOWN` verb
+//! (`oracle-loadgen --shutdown`), drains every admitted request, prints
+//! the final counters in the `METRICS` verb's text exposition, and exits.
 
-use se_oracle::atlas::{Atlas, AtlasHandle};
 use se_oracle::net::{Backend, OracleServer, ServeConfig};
-use se_oracle::oracle::SeOracle;
-use se_oracle::persist::{ATLAS_MAGIC, ORACLE_MAGIC};
-use se_oracle::serve::QueryHandle;
 use std::io::Write;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -37,9 +33,9 @@ USAGE:
                                   shutdown lifecycle), debug (per-request
                                   noise: Busy rejections, malformed frames)
 
-Stops on the protocol SHUTDOWN verb (`oracle-loadgen --addr <addr> --shutdown`).
-The METRICS verb (`oracle-loadgen --addr <addr> --metrics`) returns the full
-telemetry registry in text exposition format.
+Stops on the protocol SHUTDOWN verb (`oracle-loadgen --addr <addr> --shutdown`)
+and prints the final counters. The METRICS verb (`oracle-loadgen --addr <addr>
+--metrics`) returns the same text exposition while the server runs.
 ";
 
 fn main() -> ExitCode {
@@ -83,39 +79,6 @@ fn parse<T: std::str::FromStr>(v: &str, what: &str) -> Result<T, String> {
     v.parse().map_err(|_| format!("invalid {what}: '{v}'"))
 }
 
-/// Loads either image kind, dispatching on the magic bytes — the file
-/// never has to be named truthfully. With a resident budget, a `.seat`
-/// atlas is opened out-of-core (tiles decode lazily under the budget);
-/// a budget on a monolithic `.seor` image is an error.
-fn load_backend(path: &str, resident_budget: Option<usize>) -> Result<Backend, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
-    match bytes.get(..4) {
-        Some(m) if m == ORACLE_MAGIC => {
-            if resident_budget.is_some() {
-                return Err(format!(
-                    "{path}: --resident-budget only applies to atlas (.seat) images; \
-                     a monolithic oracle image loads whole"
-                ));
-            }
-            let oracle =
-                SeOracle::load_bytes(&bytes).map_err(|e| format!("loading {path}: {e}"))?;
-            Ok(Backend::Oracle(QueryHandle::new(oracle)))
-        }
-        Some(m) if m == ATLAS_MAGIC => {
-            let atlas = match resident_budget {
-                Some(budget) => {
-                    drop(bytes);
-                    Atlas::open_out_of_core(std::path::Path::new(path), budget)
-                        .map_err(|e| format!("loading {path}: {e}"))?
-                }
-                None => Atlas::load_bytes(&bytes).map_err(|e| format!("loading {path}: {e}"))?,
-            };
-            Ok(Backend::Atlas(AtlasHandle::new(atlas)))
-        }
-        _ => Err(format!("{path}: not an oracle (.seor) or atlas (.seat) image")),
-    }
-}
-
 fn run(args: Vec<String>) -> Result<(), String> {
     let mut rest = args;
     let image = require(&mut rest, "--image")?;
@@ -141,7 +104,8 @@ fn run(args: Vec<String>) -> Result<(), String> {
     }
     reject_leftovers(&rest)?;
 
-    let backend = load_backend(&image, resident_budget)?;
+    let backend = Backend::open(std::path::Path::new(&image), resident_budget)
+        .map_err(|e| format!("loading {image}: {e}"))?;
     let kind = match &backend {
         Backend::Oracle(_) => "oracle",
         Backend::Atlas(h) if h.atlas().tile_store().is_some() => "out-of-core atlas",
@@ -155,23 +119,8 @@ fn run(args: Vec<String>) -> Result<(), String> {
     println!("oracled listening on {bound} ({kind} image {image})");
     let _ = std::io::stdout().flush();
 
-    let stats = server.serve();
+    let metrics = server.serve();
     println!("oracled shut down after draining in-flight work");
-    println!("  connections:     {}", stats.connections);
-    println!("  requests:        {}", stats.requests);
-    println!("  pairs:           {}", stats.pairs);
-    println!("  batches:         {}", stats.batches);
-    println!("  busy rejections: {}", stats.busy_rejections);
-    println!("  malformed:       {}", stats.malformed);
-    println!("  errors:          {}", stats.errors);
-    println!("  max queue depth: {}", stats.max_queue_depth);
-    let hist: Vec<String> = stats
-        .batch_size_hist
-        .iter()
-        .enumerate()
-        .filter(|(_, &c)| c > 0)
-        .map(|(i, &c)| format!("<=2^{i}:{c}"))
-        .collect();
-    println!("  batch sizes:     {}", if hist.is_empty() { "-".into() } else { hist.join(" ") });
+    print!("{metrics}");
     Ok(())
 }

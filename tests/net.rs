@@ -1,8 +1,10 @@
 //! Socket integration suite for the `oracled` serving stack: a real
 //! `OracleServer` on an ephemeral port, driven by real TCP clients.
 //!
-//! Covers the serving contract end to end: happy-path distance/path/stats
-//! verbs, protocol hardening (oversized frames, mid-frame disconnects),
+//! Covers the serving contract end to end: happy-path distance/path/metrics
+//! verbs, image loading by magic (`Backend::open`), `oracle-loadgen
+//! --verify` refusing a mismatched image, protocol hardening (oversized
+//! frames, mid-frame disconnects),
 //! bounded-queue backpressure (`Busy`), graceful shutdown draining every
 //! admitted request, an out-of-core atlas whose backing file is rewritten
 //! mid-serve (typed errors, then recovery), and the headline determinism
@@ -15,13 +17,15 @@ use common::{build_p2p, lone_member_site, mesh_with_pois, refine_sites, tmp_dir}
 use se_oracle::atlas::{Atlas, AtlasConfig, AtlasHandle};
 use se_oracle::net::{
     Backend, Connection, ErrorCode, NetError, OracleServer, Request, Response, ServeConfig,
-    StatsSnapshot, MAX_PAIRS_PER_REQUEST, WIRE_FRAME_CAP, WIRE_MAGIC, WIRE_VERSION,
+    MAX_PAIRS_PER_REQUEST, WIRE_FRAME_CAP, WIRE_MAGIC, WIRE_VERSION,
 };
 use se_oracle::oracle::SeOracle;
+use se_oracle::persist::PersistError;
 use se_oracle::route::PathIndex;
 use se_oracle::serve::{pair_stream, QueryHandle};
 use std::io::Write;
 use std::net::SocketAddr;
+use std::process::Command;
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -36,10 +40,39 @@ fn loaded_handle(seed: u64, n: usize) -> QueryHandle {
     QueryHandle::new(SeOracle::load_bytes(&bytes).unwrap())
 }
 
-fn start(backend: Backend, cfg: ServeConfig) -> (SocketAddr, thread::JoinHandle<StatsSnapshot>) {
+/// The small atlas fixture: level-4 fractal terrain, 24 POIs, default tiling.
+fn small_atlas() -> Atlas {
+    let (mesh, pois) = mesh_with_pois(4, 0.6, 0xA7, 24);
+    let (refined, sites) = refine_sites(&mesh, &pois);
+    Atlas::build_over_vertices(
+        Arc::new(refined.mesh),
+        sites,
+        0.25,
+        EngineKind::EdgeGraph,
+        &AtlasConfig::default(),
+    )
+    .unwrap()
+}
+
+/// Binds an ephemeral port; the join handle yields `serve()`'s final
+/// metrics text.
+fn start(backend: Backend, cfg: ServeConfig) -> (SocketAddr, thread::JoinHandle<String>) {
     let server = OracleServer::bind("127.0.0.1:0", backend, cfg).unwrap();
     let addr = server.local_addr().unwrap();
     (addr, thread::spawn(move || server.serve()))
+}
+
+/// The server's live counters, through the `Metrics` verb.
+fn scrape(c: &mut Connection, id: u64) -> String {
+    match c.roundtrip(&Request::Metrics { id }).unwrap() {
+        Response::Metrics { id: got, text } if got == id => text,
+        other => panic!("unexpected response: {other:?}"),
+    }
+}
+
+/// One counter or gauge from a metrics text exposition.
+fn metric(text: &str, name: &str) -> u64 {
+    se_oracle::telemetry::lookup(text, name).unwrap_or_else(|| panic!("no {name} in:\n{text}"))
 }
 
 fn shutdown(addr: SocketAddr) {
@@ -51,7 +84,7 @@ fn shutdown(addr: SocketAddr) {
 }
 
 #[test]
-fn happy_path_distance_stats_and_errors() {
+fn happy_path_distance_metrics_and_errors() {
     let handle = loaded_handle(11, 20);
     let (addr, server) = start(Backend::Oracle(handle.clone()), ServeConfig::default());
     let mut c = Connection::connect(addr).unwrap();
@@ -91,28 +124,22 @@ fn happy_path_distance_stats_and_errors() {
         other => panic!("unexpected response: {other:?}"),
     }
 
-    // Stats reflect the traffic so far.
-    match c.roundtrip(&Request::Stats { id: 46 }).unwrap() {
-        Response::Stats { id: 46, stats } => {
-            assert_eq!(stats.n_sites as usize, handle.n_sites());
-            assert_eq!(stats.requests, 2); // the two admitted distance requests
-            assert_eq!(stats.pairs, 32);
-            assert_eq!(stats.errors, 2); // out-of-range + unsupported path
-            assert!(stats.batches >= 1);
-        }
-        other => panic!("unexpected response: {other:?}"),
-    }
+    // The counters reflect the traffic so far.
+    let text = scrape(&mut c, 46);
+    assert_eq!(metric(&text, "serve_sites") as usize, handle.n_sites());
+    assert_eq!(metric(&text, "serve_requests_total"), 2); // the two admitted distance requests
+    assert_eq!(metric(&text, "serve_pairs_total"), 32);
+    assert_eq!(metric(&text, "serve_errors_total"), 2); // out-of-range + unsupported path
+    assert!(metric(&text, "serve_batches_total") >= 1);
 
     shutdown(addr);
-    let final_stats = server.join().unwrap();
-    assert_eq!(final_stats.requests, 2);
-    assert_eq!(final_stats.malformed, 0);
+    let final_text = server.join().unwrap();
+    assert_eq!(metric(&final_text, "serve_requests_total"), 2);
+    assert_eq!(metric(&final_text, "serve_malformed_total"), 0);
 }
 
 #[test]
-fn metrics_verb_agrees_with_stats_and_the_client_ledger() {
-    use se_oracle::telemetry;
-
+fn metrics_verb_agrees_with_the_client_ledger() {
     let handle = loaded_handle(31, 20);
     let n = handle.n_sites();
     let (addr, server) = start(Backend::Oracle(handle), ServeConfig::default());
@@ -134,32 +161,22 @@ fn metrics_verb_agrees_with_stats_and_the_client_ledger() {
     }
     assert_eq!(served + busy, sent);
 
-    let text = match c.roundtrip(&Request::Metrics { id: 99 }).unwrap() {
-        Response::Metrics { id: 99, text } => text,
-        other => panic!("unexpected response: {other:?}"),
-    };
-    let stats = match c.roundtrip(&Request::Stats { id: 100 }).unwrap() {
-        Response::Stats { id: 100, stats } => stats,
-        other => panic!("unexpected response: {other:?}"),
-    };
+    let text = scrape(&mut c, 99);
 
-    // The registry is what the client observed...
-    assert_eq!(telemetry::lookup(&text, "serve_requests_total"), Some(served));
-    assert_eq!(telemetry::lookup(&text, "serve_busy_total"), Some(busy));
-    assert_eq!(telemetry::lookup(&text, "serve_pairs_total"), Some(served * pairs_each as u64));
-    // ...and the Stats verb reads the same counters (nothing else sends
-    // between the two scrapes on this single connection).
-    assert_eq!(telemetry::lookup(&text, "serve_requests_total"), Some(stats.requests));
-    assert_eq!(telemetry::lookup(&text, "serve_pairs_total"), Some(stats.pairs));
-    assert_eq!(telemetry::lookup(&text, "serve_busy_total"), Some(stats.busy_rejections));
-    assert_eq!(telemetry::lookup(&text, "serve_batches_total"), Some(stats.batches));
-    assert_eq!(telemetry::lookup(&text, "serve_connections_total"), Some(stats.connections));
+    // The registry is what the client observed: one connection, and with
+    // one closed-loop client every admitted request is its own batch.
+    let pairs = served * pairs_each as u64;
+    assert_eq!(metric(&text, "serve_requests_total"), served);
+    assert_eq!(metric(&text, "serve_busy_total"), busy);
+    assert_eq!(metric(&text, "serve_pairs_total"), pairs);
+    assert_eq!(metric(&text, "serve_connections_total"), 1);
+    assert_eq!(metric(&text, "serve_batches_total"), served);
     // Query-path probe telemetry: every answered pair costs at least one
     // node-pair hash probe (counted without any clock on the query path).
-    let probes = telemetry::lookup(&text, "serve_probe_pairs_total").unwrap();
-    assert!(probes >= stats.pairs, "probes {probes} < pairs {}", stats.pairs);
+    let probes = metric(&text, "serve_probe_pairs_total");
+    assert!(probes >= pairs, "probes {probes} < pairs {pairs}");
     // The batch-size histogram is registered and counted batches.
-    assert_eq!(telemetry::lookup(&text, "serve_batch_pairs_count"), Some(stats.batches));
+    assert_eq!(metric(&text, "serve_batch_pairs_count"), metric(&text, "serve_batches_total"));
 
     shutdown(addr);
     server.join().unwrap();
@@ -225,8 +242,7 @@ fn oversized_frame_is_rejected_from_the_header() {
         other => panic!("unexpected response: {other:?}"),
     }
     shutdown(addr);
-    let stats = server.join().unwrap();
-    assert_eq!(stats.malformed, 1);
+    assert_eq!(metric(&server.join().unwrap(), "serve_malformed_total"), 1);
 }
 
 #[test]
@@ -251,10 +267,10 @@ fn mid_frame_disconnect_leaves_server_healthy() {
         other => panic!("unexpected response: {other:?}"),
     }
     shutdown(addr);
-    let stats = server.join().unwrap();
+    let text = server.join().unwrap();
     // A half-frame EOF admits nothing and is not a protocol violation.
-    assert_eq!(stats.requests, 1);
-    assert_eq!(stats.malformed, 0);
+    assert_eq!(metric(&text, "serve_requests_total"), 1);
+    assert_eq!(metric(&text, "serve_malformed_total"), 0);
 }
 
 #[test]
@@ -274,10 +290,15 @@ fn bounded_queue_answers_busy_then_recovers() {
     // Let the batcher pop request 1 and start grinding on it; request 2
     // then occupies the queue.
     thread::sleep(Duration::from_millis(30));
+    // One write for the whole burst: the reader then admits it back to
+    // back, instead of the batcher draining the queue between frames.
     let burst = 16u64;
-    for i in 0..burst {
-        c.send(&Request::Distance { id: 10 + i, pairs: vec![(0, 1)] }).unwrap();
-    }
+    let frames: Vec<u8> = (0..burst)
+        .flat_map(|i| {
+            se_oracle::net::encode_request(&Request::Distance { id: 10 + i, pairs: vec![(0, 1)] })
+        })
+        .collect();
+    c.stream().write_all(&frames).unwrap();
 
     let mut busy = 0u64;
     let mut answered = 0u64;
@@ -301,9 +322,9 @@ fn bounded_queue_answers_busy_then_recovers() {
     }
 
     shutdown(addr);
-    let stats = server.join().unwrap();
-    assert_eq!(stats.busy_rejections, busy);
-    assert!(stats.max_queue_depth <= 2);
+    let text = server.join().unwrap();
+    assert_eq!(metric(&text, "serve_busy_total"), busy);
+    assert!(metric(&text, "serve_queue_depth_max") <= 2);
 }
 
 #[test]
@@ -347,9 +368,9 @@ fn graceful_shutdown_drains_admitted_requests() {
         }
     }
 
-    let stats = server.join().unwrap();
-    assert_eq!(stats.requests, total);
-    assert_eq!(stats.pairs, total * 16);
+    let text = server.join().unwrap();
+    assert_eq!(metric(&text, "serve_requests_total"), total);
+    assert_eq!(metric(&text, "serve_pairs_total"), total * 16);
 }
 
 #[test]
@@ -397,7 +418,7 @@ fn eight_clients_are_bit_identical_to_serial_replay() {
         all.extend(j.join().unwrap());
     }
     shutdown(addr);
-    let stats = server.join().unwrap();
+    let text = server.join().unwrap();
 
     // Serial in-process replay of every stream: the socket answers must be
     // identical bits, regardless of how the batcher interleaved clients.
@@ -410,22 +431,13 @@ fn eight_clients_are_bit_identical_to_serial_replay() {
             assert_eq!(g.to_bits(), w.to_bits(), "stream {stream} diverged from serial replay");
         }
     }
-    assert_eq!(stats.requests, CLIENTS * REQUESTS);
-    assert_eq!(stats.connections as usize, CLIENTS as usize + 1); // + shutdown conn
+    assert_eq!(metric(&text, "serve_requests_total"), CLIENTS * REQUESTS);
+    assert_eq!(metric(&text, "serve_connections_total"), CLIENTS + 1); // + shutdown conn
 }
 
 #[test]
 fn rewritten_atlas_file_errors_typed_then_recovers() {
-    let (mesh, pois) = mesh_with_pois(4, 0.6, 0xA7, 24);
-    let (refined, sites) = refine_sites(&mesh, &pois);
-    let atlas = Atlas::build_over_vertices(
-        Arc::new(refined.mesh),
-        sites,
-        0.25,
-        EngineKind::EdgeGraph,
-        &AtlasConfig::default(),
-    )
-    .unwrap();
+    let atlas = small_atlas();
     let bytes = atlas.save_bytes();
     let path = tmp_dir("net").join("rewritten.seat");
     std::fs::write(&path, &bytes).unwrap();
@@ -477,14 +489,102 @@ fn rewritten_atlas_file_errors_typed_then_recovers() {
         }
     }
 
-    let text = match c.roundtrip(&Request::Metrics { id: 6 }).unwrap() {
-        Response::Metrics { text, .. } => text,
-        other => panic!("unexpected response: {other:?}"),
-    };
-    let metric = |name: &str| se_oracle::telemetry::lookup(&text, name);
-    assert_eq!(metric("serve_errors_total"), Some(1));
-    assert_eq!(metric("atlas_tile_load_failures_total"), Some(1));
-    assert!(metric("serve_probe_pairs_total").unwrap_or(0) > 0, "atlas legs count probes");
+    let text = scrape(&mut c, 6);
+    assert_eq!(metric(&text, "serve_errors_total"), 1);
+    assert_eq!(metric(&text, "atlas_tile_load_failures_total"), 1);
+    assert!(metric(&text, "serve_probe_pairs_total") > 0, "atlas legs count probes");
     shutdown(addr);
-    server.join().unwrap();
+    // serve()'s final text carries the tile store's registry too.
+    assert_eq!(metric(&server.join().unwrap(), "atlas_tile_load_failures_total"), 1);
+}
+
+#[test]
+fn backend_open_picks_the_loader_from_the_magic() {
+    let dir = tmp_dir("net");
+    let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+    let oracle = build_p2p(37, 16, 0.25, EngineKind::EdgeGraph).into_oracle();
+    let seor = dir.join("open.seor");
+    std::fs::write(&seor, oracle.save_bytes()).unwrap();
+    let atlas = small_atlas();
+    // Named `.bin`: the loader goes by the magic, not the file name.
+    let seat = dir.join("open-atlas.bin");
+    std::fs::write(&seat, atlas.save_bytes()).unwrap();
+
+    let answers = |b: &Backend, pairs: &[(u32, u32)]| match b {
+        Backend::Oracle(h) => h.distance_many(pairs),
+        Backend::Atlas(h) => h.distance_many(pairs),
+    };
+    let oracle_pairs = pair_stream(0x0E, 0, 256, oracle.n_sites());
+    let atlas_pairs = pair_stream(0x0E, 1, 256, atlas.n_sites());
+    let cases = [
+        (&seor, None, false, bits(&oracle.distance_many(&oracle_pairs))),
+        (&seat, None, false, bits(&atlas.distance_many(&atlas_pairs))),
+        (&seat, Some(0), true, bits(&atlas.distance_many(&atlas_pairs))),
+    ];
+    for (path, budget, out_of_core, want) in cases {
+        let backend = Backend::open(path, budget).unwrap();
+        let pairs = match (&backend, out_of_core) {
+            (Backend::Oracle(_), false) => &oracle_pairs,
+            (Backend::Atlas(h), ooc) => {
+                assert_eq!(h.tile_store().is_some(), ooc, "{path:?} with budget {budget:?}");
+                &atlas_pairs
+            }
+            (other, _) => panic!("{path:?} opened as {other:?}"),
+        };
+        assert_eq!(bits(&answers(&backend, pairs)), want, "{path:?} with budget {budget:?}");
+    }
+
+    // A budget on a monolithic oracle image names where budgets apply.
+    match Backend::open(&seor, Some(1 << 20)) {
+        Err(PersistError::Io(e)) => {
+            assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput);
+            let msg = e.to_string();
+            assert!(msg.contains("budget") && msg.contains("atlas"), "unhelpful error: {msg}");
+        }
+        other => panic!("expected a budget-scope error, got {other:?}"),
+    }
+
+    // Neither image kind, including a file shorter than a magic.
+    for (name, bytes) in [("pois.csv", &b"100,100\n700,300\n"[..]), ("short.seor", b"SE")] {
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).unwrap();
+        match Backend::open(&path, None) {
+            Err(PersistError::BadMagic(_)) => {}
+            other => panic!("{name}: expected BadMagic, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn loadgen_verify_refuses_an_image_with_another_site_count() {
+    let served = loaded_handle(41, 8);
+    let other = build_p2p(41, 4, 0.25, EngineKind::EdgeGraph).into_oracle();
+    let (serves, has) = (served.n_sites(), other.n_sites());
+    assert_ne!(serves, has, "the fixture needs two site counts");
+    let image = tmp_dir("net").join("fewer-sites.seor");
+    std::fs::write(&image, other.save_bytes()).unwrap();
+
+    let (addr, server) = start(Backend::Oracle(served), ServeConfig::default());
+    let out = Command::new(env!("CARGO_BIN_EXE_oracle-loadgen"))
+        .args(["--addr", &addr.to_string(), "--clients", "2", "--requests", "2", "--pairs", "8"])
+        .arg("--verify")
+        .arg("--image")
+        .arg(&image)
+        .output()
+        .unwrap();
+    shutdown(addr);
+    let text = server.join().unwrap();
+
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(
+        stderr.contains(&format!("has {has} sites"))
+            && stderr.contains(&format!("serves {serves}")),
+        "the error must name both site counts: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "loadgen panicked: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "one error line: {stderr}");
+    // Refused before any workload request was sent.
+    assert_eq!(metric(&text, "serve_requests_total"), 0);
 }
