@@ -94,9 +94,9 @@ fn bench_proximity(c: &mut Criterion) {
 /// Oracle image save/load (persistence extension).
 fn bench_persistence(c: &mut Criterion) {
     let (oracle, _) = built_oracle(48);
-    let bytes = oracle.save_bytes();
+    let bytes = oracle.save_bytes_compact(false);
     let mut g = c.benchmark_group("persist");
-    g.bench_function("save", |b| b.iter(|| black_box(oracle.save_bytes())));
+    g.bench_function("save", |b| b.iter(|| black_box(oracle.save_bytes_compact(false))));
     g.bench_function("load", |b| b.iter(|| black_box(SeOracle::load_bytes(&bytes).unwrap())));
     g.finish();
 }

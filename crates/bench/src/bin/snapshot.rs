@@ -21,9 +21,8 @@
 //!   exact nearest-rank quantile over the raw per-request samples (the
 //!   run is ≤64k requests, so there is no reason to pay a log-bucket
 //!   histogram's ≤25 % bucket error on a headline number);
-//! - `seat_bytes_v1` / `seat_bytes_v2` / `seat_compact_ratio` — the same
-//!   workload tiled into a 2×2 atlas, serialized as a v1 `SEAT` image and
-//!   as the compact v2 (`--compress`) image;
+//! - `seat_bytes_v2` — the same workload tiled into a 2×2 atlas,
+//!   serialized as the compressed v2 (`--compress`) `SEAT` image;
 //! - `ooc_pairs_per_s` — the compact image served out-of-core under a
 //!   resident budget of half its decoded size (eviction active), 10k
 //!   pairs through the parallel atlas driver.
@@ -155,9 +154,9 @@ fn main() {
     let rank = ((lat_us.len() * 99).div_ceil(100)).saturating_sub(1);
     let socket_p99_us = lat_us[rank] as f64;
 
-    // 5. Compressed image sizes + out-of-core throughput: the same
-    //    workload tiled 2×2, saved v1 and compact v2, then the compact
-    //    image served under a resident budget of half its decoded size.
+    // 5. Compressed image size + out-of-core throughput: the same
+    //    workload tiled 2×2, saved as compressed v2, then that image
+    //    served under a resident budget of half its decoded size.
     let acfg = AtlasConfig {
         grid: TileGridConfig::default(),
         build: BuildConfig::default(),
@@ -165,9 +164,7 @@ fn main() {
     };
     let atlas = Atlas::build(&w.mesh, &w.pois, 0.15, EngineKind::EdgeGraph, &acfg)
         .expect("atlas construction");
-    let v1_bytes = atlas.save_bytes().len();
     let v2_image = atlas.save_bytes_compact(true);
-    let seat_ratio = v1_bytes as f64 / v2_image.len() as f64;
     let budget = atlas.storage_bytes() / 2;
     let seat_path =
         std::env::temp_dir().join(format!("bench-snapshot-{}.seat", std::process::id()));
@@ -196,12 +193,8 @@ fn main() {
          \"detail\": \"oracled server core, 4 clients x 250 requests x 64 pairs, default admission\" }},\n    \
          {{ \"name\": \"socket_p99_us\", \"value\": {socket_p99_us:.1}, \"unit\": \"us\", \
          \"detail\": \"exact nearest-rank p99 request latency over the same socket run (raw samples)\" }},\n    \
-         {{ \"name\": \"seat_bytes_v1\", \"value\": {v1_bytes}, \"unit\": \"bytes\", \
-         \"detail\": \"2x2 atlas over the query workload, v1 SEAT image\" }},\n    \
          {{ \"name\": \"seat_bytes_v2\", \"value\": {v2_len}, \"unit\": \"bytes\", \
-         \"detail\": \"same atlas, compact v2 (--compress) SEAT image\" }},\n    \
-         {{ \"name\": \"seat_compact_ratio\", \"value\": {seat_ratio:.2}, \"unit\": \"x\", \
-         \"detail\": \"v1 bytes / compressed v2 bytes\" }},\n    \
+         \"detail\": \"2x2 atlas over the query workload, compact v2 (--compress) SEAT image\" }},\n    \
          {{ \"name\": \"ooc_pairs_per_s\", \"value\": {ooc_qps:.0}, \"unit\": \"pairs/s\", \
          \"detail\": \"10k-pair parallel batch, out-of-core atlas at half-decoded-size resident budget, median of 5\" }}\n  ]\n}}\n",
         v2_len = v2_image.len()

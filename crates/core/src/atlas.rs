@@ -253,7 +253,7 @@ enum TileSet {
 
 /// A tiled SE oracle: per-tile oracles plus a portal graph for cross-tile
 /// routing. Built by [`Atlas::build`]; served through [`AtlasHandle`];
-/// persisted by `save_to`/`load_from` (see [`crate::persist`]).
+/// persisted by `save_to_compact`/`load_from` (see [`crate::persist`]).
 pub struct Atlas {
     eps: f64,
     tiles: TileSet,
@@ -444,8 +444,8 @@ impl Atlas {
     }
 
     /// Reassembles an atlas from its persisted parts, re-deriving the
-    /// portal graph (the inverse of what `save_to` writes). Fails when the
-    /// parts cannot route every tile pair.
+    /// portal graph (the inverse of what `save_to_compact` writes). Fails
+    /// when the parts cannot route every tile pair.
     pub(crate) fn from_parts(
         eps: f64,
         tiles: Vec<AtlasTile>,
@@ -490,23 +490,15 @@ impl Atlas {
     /// bit-identical to a fully resident [`Atlas::load_from`] of the same
     /// bytes, for any budget and any eviction schedule (see
     /// `tests/out_of_core.rs`).
+    ///
+    /// The store's hit/miss/load/eviction counters and resident gauges
+    /// live in its own registry ([`TileStore::registry`], reached through
+    /// [`Self::tile_store`]).
     pub fn open_out_of_core(
         path: &std::path::Path,
         resident_budget: usize,
     ) -> Result<Self, PersistError> {
-        Self::open_out_of_core_with(path, resident_budget, obs::Registry::new())
-    }
-
-    /// [`Self::open_out_of_core`] with the caller's metrics registry — the
-    /// store's hit/miss/load/eviction counters and resident gauges land
-    /// there (serving front ends pass the registry their `Metrics` verb
-    /// exposes).
-    pub fn open_out_of_core_with(
-        path: &std::path::Path,
-        resident_budget: usize,
-        registry: obs::Registry,
-    ) -> Result<Self, PersistError> {
-        let (store, meta) = TileStore::open(path, resident_budget, registry)?;
+        let (store, meta) = TileStore::open(path, resident_budget)?;
         let views: Vec<PortalView<'_>> =
             meta.portal_data.iter().map(|(p, t)| (p.as_slice(), t.as_slice())).collect();
         if routing_components(&views, meta.n_portals).is_some() {

@@ -3,7 +3,7 @@
 //!
 //! A wire frame is **exactly** the persisted-image frame of [`crate::persist`]
 //! — magic, version, declared payload length, payload, FNV-1a checksum —
-//! written by the same `write_framed` and validated by the same
+//! written by the same `framed` and validated by the same
 //! `parse_frame_header`/`read_framed` pair, just with a wire-specific magic
 //! ([`WIRE_MAGIC`]) and a much smaller length cap ([`WIRE_FRAME_CAP`]).
 //! Sharing one decoder means every hardening rule the image loader obeys
@@ -23,7 +23,7 @@
 
 // lint: query-path
 
-use crate::persist::{parse_frame_header, read_framed, write_framed, Cursor, PersistError};
+use crate::persist::{framed, parse_frame_header, read_framed, Cursor, PersistError};
 
 /// Magic for wire frames (`SEWF`, "space-efficient wire frame") —
 /// deliberately distinct from the image magics so an oracle image piped at
@@ -219,17 +219,6 @@ fn put_f64(v: &mut Vec<u8>, x: f64) {
     v.extend_from_slice(&x.to_le_bytes());
 }
 
-/// Wraps a payload in the shared frame (magic, version, length, checksum).
-fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 24);
-    if write_framed(&mut out, WIRE_MAGIC, WIRE_VERSION, payload).is_err() {
-        // Writing into a Vec is infallible; the io::Result on write_framed
-        // exists for file sinks.
-        unreachable!("Vec<u8> writes cannot fail");
-    }
-    out
-}
-
 /// Encodes a request as a complete wire frame, ready to write to a socket.
 pub fn encode_request(req: &Request) -> Vec<u8> {
     let mut p = Vec::with_capacity(16);
@@ -258,7 +247,7 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             put_u64(&mut p, *id);
         }
     }
-    frame(&p)
+    framed(WIRE_MAGIC, WIRE_VERSION, p)
 }
 
 /// Decodes a request payload (the bytes inside an already-validated
@@ -350,7 +339,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             put_u64(&mut p, *id);
         }
     }
-    frame(&p)
+    framed(WIRE_MAGIC, WIRE_VERSION, p)
 }
 
 /// Decodes a response payload, with the same count-before-allocation

@@ -11,16 +11,22 @@
 //!
 //! Both image kinds share one **frame**: a 4-byte magic, an explicit
 //! format-version word, the payload length, the payload, and an FNV-1a
-//! checksum over the payload. The frame is written and validated by one
-//! pair of helpers, so a magic or version mismatch fails identically (and
-//! actionably — the error names the found and the supported version)
-//! everywhere, and future format revisions bump one constant per kind.
+//! checksum over the payload. `framed` is the one frame writer and
+//! `read_framed` the one frame reader (the wire protocol and the
+//! out-of-core `TileStore` use them too), so a magic or version mismatch
+//! fails identically (and actionably — the error names the found and the
+//! supported version) everywhere, and future format revisions bump one
+//! constant per kind.
 //!
-//! Monolithic layout (all integers little-endian):
+//! This build writes only version 2 (see *Compact images* below). The two
+//! version-1 layouts that follow are **read, no longer written**: every v1
+//! image on disk keeps loading.
+//!
+//! Monolithic v1 layout (all integers little-endian):
 //!
 //! ```text
 //! magic  "SEOR"          4 bytes
-//! version u32            currently ORACLE_VERSION = 1
+//! version u32            ORACLE_VERSION = 1
 //! payload length u64
 //! payload:
 //!   eps f64
@@ -32,11 +38,11 @@
 //! checksum u64           FNV-1a over the payload bytes
 //! ```
 //!
-//! Atlas layout:
+//! Atlas v1 layout:
 //!
 //! ```text
 //! magic  "SEAT"          4 bytes
-//! version u32            currently ATLAS_VERSION = 1
+//! version u32            ATLAS_VERSION = 1
 //! payload length u64
 //! payload:
 //!   eps f64
@@ -52,18 +58,21 @@
 //! The portal graph is *rebuilt* on load from the per-tile tables — same
 //! rationale as the perfect hash. Loading validates every structural
 //! invariant (nested images, membership tables, portal ids, routability)
-//! before returning, and a loaded image re-serializes byte-identically.
+//! before returning.
 //!
 //! # Compact (`v2`) images
 //!
 //! [`SeOracle::save_to_compact`] / [`Atlas::save_to_compact`] write format
-//! **version 2**, which replaces the fixed-width arrays with LEB128
-//! varints and routes every `f64` table (node radii, pair distances,
-//! portal tables) through the bounded-error quantizer of [`crate::quant`]
-//! (lossless raw mode when `compress` is off, so uncompressed v2 answers
-//! stay bit-identical; quantized mode bounds every value's relative decode
-//! error by [`crate::quant::EPS_QUANT`]). Both loaders accept v1 *and* v2
-//! via the version word in the frame — old images keep loading unchanged.
+//! **version 2**, the only format this build writes. It replaces the
+//! fixed-width arrays with LEB128 varints and routes every `f64` table
+//! (node radii, pair distances, portal tables) through the bounded-error
+//! quantizer of [`crate::quant`] (lossless raw mode when `compress` is
+//! off, so uncompressed v2 answers stay bit-identical to the oracle that
+//! wrote them; quantized mode bounds every value's relative decode error by
+//! [`crate::quant::EPS_QUANT`]). Both loaders accept v1 *and* v2 via the
+//! version word in the frame — old images keep loading unchanged — and a
+//! loaded v2 image re-serializes byte-identically under the same
+//! `compress` setting.
 //!
 //! Monolithic v2 payload (struct-of-arrays; `qtable` is the mode-tagged
 //! table of `crate::quant`, `varint` is LEB128):
@@ -96,7 +105,7 @@
 
 use crate::atlas::{Atlas, AtlasTile};
 use crate::ctree::{CNode, CompressedTree};
-use crate::oracle::SeOracle;
+use crate::oracle::{QueryError, SeOracle};
 use crate::quant::{read_qtable, read_varint, write_qtable, write_varint};
 use crate::tree::NO_NODE;
 use std::io::{self, Read, Write};
@@ -108,7 +117,7 @@ use std::ops::RangeInclusive;
 pub const ORACLE_MAGIC: [u8; 4] = *b"SEOR";
 const MAGIC: [u8; 4] = ORACLE_MAGIC;
 /// Format version of classic (fixed-width, lossless) monolithic `SEOR`
-/// oracle images — what [`SeOracle::save_to`] writes.
+/// oracle images: read, no longer written.
 pub const ORACLE_VERSION: u32 = 1;
 /// Format version of compact monolithic `SEOR` images (varint + qtable
 /// encoding; see the module docs) — what [`SeOracle::save_to_compact`]
@@ -116,10 +125,12 @@ pub const ORACLE_VERSION: u32 = 1;
 pub const ORACLE_VERSION_COMPACT: u32 = 2;
 /// Magic of atlas (`SEAT`) images (see [`ORACLE_MAGIC`]).
 pub const ATLAS_MAGIC: [u8; 4] = *b"SEAT";
-/// Format version of classic atlas (`SEAT`) images.
+/// Format version of classic atlas (`SEAT`) images: read, no longer
+/// written.
 pub const ATLAS_VERSION: u32 = 1;
 /// Format version of compact atlas images with a tile directory (the
 /// out-of-core–servable layout) — what [`Atlas::save_to_compact`] writes.
+/// Loaders accept both versions.
 pub const ATLAS_VERSION_COMPACT: u32 = 2;
 /// Salt for the rebuilt perfect hash; any value works, a fixed one keeps
 /// loads deterministic.
@@ -213,24 +224,24 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 /// declare). The network protocol passes its own, much smaller cap.
 pub(crate) const IMAGE_FRAME_CAP: u64 = 1 << 40;
 
-/// Writes the shared image frame: magic, explicit format version, payload
-/// length, payload, FNV-1a checksum. Every image kind serializes through
-/// this one helper (the network protocol reuses it for wire frames).
-pub(crate) fn write_framed<W: Write>(
-    w: &mut W,
-    magic: [u8; 4],
-    version: u32,
-    payload: &[u8],
-) -> io::Result<()> {
-    w.write_all(&magic)?;
-    w.write_all(&version.to_le_bytes())?;
-    w.write_all(&(payload.len() as u64).to_le_bytes())?;
-    w.write_all(payload)?;
-    w.write_all(&fnv1a(payload).to_le_bytes())?;
-    Ok(())
+/// Wraps `payload` in the shared image frame: magic, explicit format
+/// version, payload length, payload, FNV-1a checksum. Every image kind
+/// serializes through this one helper (the network protocol reuses it for
+/// wire frames). The frame is built in the payload's own buffer, so framing
+/// holds no second copy of the image.
+pub(crate) fn framed(magic: [u8; 4], version: u32, mut payload: Vec<u8>) -> Vec<u8> {
+    let sum = fnv1a(&payload);
+    let mut header = [0u8; 16];
+    header[..4].copy_from_slice(&magic);
+    header[4..8].copy_from_slice(&version.to_le_bytes());
+    header[8..].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    payload.reserve(24);
+    payload.splice(0..0, header);
+    payload.extend_from_slice(&sum.to_le_bytes());
+    payload
 }
 
-/// Reads and validates the frame written by [`write_framed`] — magic,
+/// Reads and validates the frame written by [`framed`] — magic,
 /// version-against-`supported`, length-against-`cap`, checksum — returning
 /// the stamped version and the payload for the kind-specific parser.
 /// `supported` is an inclusive version range: image loaders pass
@@ -351,42 +362,6 @@ impl<'a> Cursor<'a> {
 }
 
 impl SeOracle {
-    /// Serializes the oracle to `w`.
-    pub fn save_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        let t = self.tree();
-        let mut p: Vec<u8> = Vec::with_capacity(64 + 24 * t.n_nodes() + 16 * self.n_pairs());
-        p.extend_from_slice(&self.epsilon().to_le_bytes());
-        p.extend_from_slice(&t.r0.to_le_bytes());
-        p.extend_from_slice(&t.h.to_le_bytes());
-        p.extend_from_slice(&t.root.to_le_bytes());
-        p.extend_from_slice(&(t.n_nodes() as u32).to_le_bytes());
-        for n in &t.nodes {
-            p.extend_from_slice(&n.center.to_le_bytes());
-            p.extend_from_slice(&n.layer.to_le_bytes());
-            p.extend_from_slice(&n.parent.to_le_bytes());
-            p.extend_from_slice(&n.radius.to_le_bytes());
-        }
-        p.extend_from_slice(&(t.leaf_of_site.len() as u32).to_le_bytes());
-        for &leaf in &t.leaf_of_site {
-            p.extend_from_slice(&leaf.to_le_bytes());
-        }
-        p.extend_from_slice(&(self.n_pairs() as u64).to_le_bytes());
-        for (k, d) in self.pair_entries() {
-            p.extend_from_slice(&k.to_le_bytes());
-            p.extend_from_slice(&d.to_le_bytes());
-        }
-
-        write_framed(w, MAGIC, ORACLE_VERSION, &p)
-    }
-
-    /// Serializes to an in-memory buffer.
-    pub fn save_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        // lint: allow(panic, "Vec<u8> writes are infallible")
-        self.save_to(&mut out).expect("Vec<u8> writes are infallible");
-        out
-    }
-
     /// Serializes the oracle in the compact v2 format (varints + qtables;
     /// see the module docs). With `compress` off every table is written in
     /// lossless raw mode — the loaded oracle answers bit-identically to
@@ -395,15 +370,12 @@ impl SeOracle {
     /// [`crate::quant::EPS_QUANT`], so answers stay within
     /// `(1+ε)(1+EPS_QUANT)` of the exact metric.
     pub fn save_to_compact<W: Write>(&self, w: &mut W, compress: bool) -> io::Result<()> {
-        write_framed(w, MAGIC, ORACLE_VERSION_COMPACT, &self.payload_compact(compress))
+        w.write_all(&self.save_bytes_compact(compress))
     }
 
     /// [`Self::save_to_compact`] into an in-memory buffer.
     pub fn save_bytes_compact(&self, compress: bool) -> Vec<u8> {
-        let mut out = Vec::new();
-        // lint: allow(panic, "Vec<u8> writes are infallible")
-        self.save_to_compact(&mut out, compress).expect("Vec<u8> writes are infallible");
-        out
+        framed(MAGIC, ORACLE_VERSION_COMPACT, self.payload_compact(compress))
     }
 
     /// The v2 payload: struct-of-arrays varint streams plus qtables, with
@@ -446,8 +418,8 @@ impl SeOracle {
         p
     }
 
-    /// Deserializes an oracle written by [`Self::save_to`] (v1) or
-    /// [`Self::save_to_compact`] (v2), validating the checksum and every
+    /// Deserializes a v2 oracle image written by [`Self::save_to_compact`]
+    /// or a v1 image from an earlier build, validating the checksum and every
     /// structural invariant (tree shape, layer monotonicity, leaf mapping)
     /// before returning.
     pub fn load_from<R: Read>(r: &mut R) -> Result<Self, PersistError> {
@@ -722,60 +694,28 @@ fn assemble_oracle(parts: OracleParts) -> Result<SeOracle, PersistError> {
 }
 
 impl Atlas {
-    /// Serializes the whole atlas — every tile's oracle as a nested `SEOR`
-    /// segment, the site membership tables and the portal tables — to `w`.
-    /// The image is self-contained for serving: reloading it restores a
-    /// bit-identical query surface without the meshes or engines.
-    pub fn save_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        let mut p: Vec<u8> = Vec::new();
-        p.extend_from_slice(&self.epsilon().to_le_bytes());
-        p.extend_from_slice(&(self.n_sites() as u32).to_le_bytes());
-        p.extend_from_slice(&(self.n_portals() as u32).to_le_bytes());
-        p.extend_from_slice(&(self.n_tiles() as u32).to_le_bytes());
-        for (s, members) in self.site_members().iter().enumerate() {
-            p.extend_from_slice(&self.site_homes()[s].to_le_bytes());
-            p.extend_from_slice(&(members.len() as u32).to_le_bytes());
-            for &(tile, local) in members {
-                p.extend_from_slice(&tile.to_le_bytes());
-                p.extend_from_slice(&local.to_le_bytes());
-            }
-        }
-        for t in 0..self.n_tiles() {
-            let tile = self.tile(t).map_err(io::Error::other)?;
-            let blob = tile.oracle.save_bytes();
-            p.extend_from_slice(&(blob.len() as u64).to_le_bytes());
-            p.extend_from_slice(&blob);
-            p.extend_from_slice(&(tile.portals.len() as u32).to_le_bytes());
-            for &(gid, local) in &tile.portals {
-                p.extend_from_slice(&gid.to_le_bytes());
-                p.extend_from_slice(&local.to_le_bytes());
-            }
-            p.extend_from_slice(&(tile.portal_table.len() as u64).to_le_bytes());
-            for &d in &tile.portal_table {
-                p.extend_from_slice(&d.to_le_bytes());
-            }
-        }
-        write_framed(w, ATLAS_MAGIC, ATLAS_VERSION, &p)
-    }
-
-    /// Serializes to an in-memory buffer.
-    ///
-    /// Panics only for an out-of-core atlas whose backing file no longer
-    /// reads; [`Self::save_to`] reports that as an `io::Error`.
-    pub fn save_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        // lint: allow(panic, "Vec<u8> writes are infallible; an out-of-core tile read failure is the documented panic")
-        self.save_to(&mut out).expect("atlas tiles must be readable");
-        out
-    }
-
     /// Serializes the atlas in the compact v2 format: varint membership
     /// records, a tile directory (so the out-of-core [`crate::tilestore`]
     /// can seek straight to one tile's segment), nested compact oracle
     /// images, and qtable portal tables. `compress` selects quantized
     /// (bounded-error) vs raw (lossless) tables, exactly as in
-    /// [`SeOracle::save_to_compact`].
+    /// [`SeOracle::save_to_compact`]. An out-of-core atlas whose backing
+    /// file no longer reads fails as an `io::Error`.
     pub fn save_to_compact<W: Write>(&self, w: &mut W, compress: bool) -> io::Result<()> {
+        w.write_all(&self.image_compact(compress).map_err(io::Error::other)?)
+    }
+
+    /// [`Self::save_to_compact`] into an in-memory buffer.
+    ///
+    /// Panics only for an out-of-core atlas whose backing file no longer
+    /// reads; [`Self::save_to_compact`] reports that as an `io::Error`.
+    pub fn save_bytes_compact(&self, compress: bool) -> Vec<u8> {
+        // lint: allow(panic, "an out-of-core tile read failure is the documented panic; save_to_compact returns it as an io::Error")
+        self.image_compact(compress).expect("atlas tiles must be readable")
+    }
+
+    /// The framed v2 image; fails only when a tile is unavailable.
+    fn image_compact(&self, compress: bool) -> Result<Vec<u8>, QueryError> {
         let mut p: Vec<u8> = Vec::new();
         p.extend_from_slice(&self.epsilon().to_le_bytes());
         p.extend_from_slice(&(self.n_sites() as u32).to_le_bytes());
@@ -791,7 +731,7 @@ impl Atlas {
         }
         let mut segments: Vec<Vec<u8>> = Vec::with_capacity(self.n_tiles());
         for t in 0..self.n_tiles() {
-            let tile = self.tile(t).map_err(io::Error::other)?;
+            let tile = self.tile(t)?;
             let blob = tile.oracle.save_bytes_compact(compress);
             let mut s = Vec::with_capacity(blob.len() + 64);
             s.extend_from_slice(&(blob.len() as u64).to_le_bytes());
@@ -804,26 +744,22 @@ impl Atlas {
             write_qtable(&mut s, &tile.portal_table, compress);
             segments.push(s);
         }
+        // Room for the directory (≤ 10 varint bytes per tile), the segments
+        // and the frame, so the payload never reallocates while segments
+        // move into it.
+        let body: usize = segments.iter().map(Vec::len).sum();
+        p.reserve(10 * segments.len() + body + 24);
         for s in &segments {
             write_varint(&mut p, s.len() as u64);
         }
-        for s in &segments {
-            p.extend_from_slice(s);
+        for s in segments {
+            p.extend_from_slice(&s);
         }
-        write_framed(w, ATLAS_MAGIC, ATLAS_VERSION_COMPACT, &p)
+        Ok(framed(ATLAS_MAGIC, ATLAS_VERSION_COMPACT, p))
     }
 
-    /// [`Self::save_to_compact`] into an in-memory buffer, panicking like
-    /// [`Self::save_bytes`].
-    pub fn save_bytes_compact(&self, compress: bool) -> Vec<u8> {
-        let mut out = Vec::new();
-        // lint: allow(panic, "Vec<u8> writes are infallible; an out-of-core tile read failure is the documented panic")
-        self.save_to_compact(&mut out, compress).expect("atlas tiles must be readable");
-        out
-    }
-
-    /// Deserializes an atlas written by [`Self::save_to`] (v1) or
-    /// [`Self::save_to_compact`] (v2), validating the checksum, every
+    /// Deserializes a v2 atlas image written by [`Self::save_to_compact`]
+    /// or a v1 image from an earlier build, validating the checksum, every
     /// nested oracle image, the membership and portal tables, and tile
     /// routability before returning. Both versions flow through
     /// `parse_seat_layout` + `decode_tile_segment` — the same pair the
@@ -1089,6 +1025,25 @@ mod tests {
     use terrain::poi::sample_uniform;
     use terrain::refine::insert_surface_points;
 
+    /// A v1 atlas image written by an earlier build (see
+    /// `tests/fixtures/v1/README.md`): this build reads v1 but writes only v2.
+    const V1_ATLAS: &[u8] = include_bytes!("../../../tests/fixtures/v1/atlas-l4.seat");
+
+    fn version_word(image: &[u8]) -> u32 {
+        u32::from_le_bytes(image[4..8].try_into().unwrap())
+    }
+
+    /// Overwrites `patch.len()` payload bytes at payload offset `at` and
+    /// recomputes the frame checksum, so the damage reaches the parser.
+    fn patch_payload(image: &[u8], at: usize, patch: &[u8]) -> Vec<u8> {
+        let mut bytes = image.to_vec();
+        bytes[16 + at..16 + at + patch.len()].copy_from_slice(patch);
+        let tail = bytes.len() - 8;
+        let sum = fnv1a(&bytes[16..tail]);
+        bytes[tail..].copy_from_slice(&sum.to_le_bytes());
+        bytes
+    }
+
     fn oracle(n: usize, seed: u64, eps: f64) -> SeOracle {
         let mesh = diamond_square(4, 0.6, seed).to_mesh();
         let pois = sample_uniform(&mesh, n, seed ^ 0x9E);
@@ -1103,7 +1058,7 @@ mod tests {
     #[test]
     fn roundtrip_preserves_every_answer() {
         let o = oracle(25, 21, 0.15);
-        let bytes = o.save_bytes();
+        let bytes = o.save_bytes_compact(false);
         let loaded = SeOracle::load_bytes(&bytes).unwrap();
         assert_eq!(loaded.epsilon(), o.epsilon());
         assert_eq!(loaded.n_sites(), o.n_sites());
@@ -1121,17 +1076,17 @@ mod tests {
         // save(load(save(x))) == save(load(x)) — the image is canonical
         // after one round trip.
         let o = oracle(12, 23, 0.25);
-        let b1 = o.save_bytes();
+        let b1 = o.save_bytes_compact(false);
         let l1 = SeOracle::load_bytes(&b1).unwrap();
-        let b2 = l1.save_bytes();
+        let b2 = l1.save_bytes_compact(false);
         let l2 = SeOracle::load_bytes(&b2).unwrap();
-        assert_eq!(b2, l2.save_bytes());
+        assert_eq!(b2, l2.save_bytes_compact(false));
     }
 
     #[test]
     fn bad_magic_rejected() {
         let o = oracle(8, 25, 0.3);
-        let mut bytes = o.save_bytes();
+        let mut bytes = o.save_bytes_compact(false);
         bytes[0] = b'X';
         assert!(matches!(SeOracle::load_bytes(&bytes), Err(PersistError::BadMagic(_))));
     }
@@ -1139,7 +1094,7 @@ mod tests {
     #[test]
     fn bad_version_rejected_with_actionable_message() {
         let o = oracle(8, 27, 0.3);
-        let mut bytes = o.save_bytes();
+        let mut bytes = o.save_bytes_compact(false);
         bytes[4] = 99;
         let err = SeOracle::load_bytes(&bytes).unwrap_err();
         assert!(matches!(
@@ -1156,7 +1111,7 @@ mod tests {
     #[test]
     fn flipped_payload_byte_fails_checksum() {
         let o = oracle(10, 29, 0.2);
-        let mut bytes = o.save_bytes();
+        let mut bytes = o.save_bytes_compact(false);
         let mid = 16 + (bytes.len() - 24) / 2;
         bytes[mid] ^= 0x40;
         assert!(matches!(
@@ -1168,7 +1123,7 @@ mod tests {
     #[test]
     fn truncation_rejected() {
         let o = oracle(10, 31, 0.2);
-        let bytes = o.save_bytes();
+        let bytes = o.save_bytes_compact(false);
         for cut in [3usize, 15, 20, bytes.len() - 4] {
             assert!(SeOracle::load_bytes(&bytes[..cut]).is_err(), "cut at {cut} accepted");
         }
@@ -1194,10 +1149,10 @@ mod tests {
     #[test]
     fn atlas_roundtrip_is_byte_identical_and_answer_preserving() {
         let a = small_atlas(20, 41, 0.2);
-        let bytes = a.save_bytes();
+        let bytes = a.save_bytes_compact(false);
         let loaded = Atlas::load_bytes(&bytes).unwrap();
         assert_eq!(
-            loaded.save_bytes(),
+            loaded.save_bytes_compact(false),
             bytes,
             "an atlas image must re-serialize byte-identically after a reload"
         );
@@ -1215,10 +1170,13 @@ mod tests {
     #[test]
     fn atlas_rejects_wrong_magic_and_version() {
         let a = small_atlas(10, 43, 0.25);
-        let mut bytes = a.save_bytes();
+        let mut bytes = a.save_bytes_compact(false);
         // A monolithic image is not an atlas image (and vice versa).
         let o = oracle(8, 43, 0.25);
-        assert!(matches!(Atlas::load_bytes(&o.save_bytes()), Err(PersistError::BadMagic(_))));
+        assert!(matches!(
+            Atlas::load_bytes(&o.save_bytes_compact(false)),
+            Err(PersistError::BadMagic(_))
+        ));
         assert!(matches!(SeOracle::load_bytes(&bytes), Err(PersistError::BadMagic(_))));
         bytes[4] = 7;
         assert!(matches!(
@@ -1235,7 +1193,7 @@ mod tests {
     fn compact_uncompressed_oracle_is_lossless_and_canonical() {
         let o = oracle(20, 51, 0.2);
         let bytes = o.save_bytes_compact(false);
-        assert_eq!(u32::from_le_bytes(bytes[4..8].try_into().unwrap()), ORACLE_VERSION_COMPACT);
+        assert_eq!(version_word(&bytes), ORACLE_VERSION_COMPACT);
         let loaded = SeOracle::load_bytes(&bytes).unwrap();
         for s in 0..o.n_sites() {
             for t in 0..o.n_sites() {
@@ -1255,7 +1213,8 @@ mod tests {
         use crate::quant::EPS_QUANT;
         let o = oracle(20, 53, 0.2);
         let bytes = o.save_bytes_compact(true);
-        assert!(bytes.len() < o.save_bytes().len(), "compression must shrink the image");
+        let raw = o.save_bytes_compact(false);
+        assert!(bytes.len() < raw.len(), "compression must shrink the image");
         let loaded = SeOracle::load_bytes(&bytes).unwrap();
         for s in 0..o.n_sites() {
             for t in 0..o.n_sites() {
@@ -1269,17 +1228,14 @@ mod tests {
     #[test]
     fn compact_atlas_roundtrips_and_v1_keeps_loading() {
         let a = small_atlas(20, 55, 0.2);
-        let v1 = a.save_bytes();
         let raw = a.save_bytes_compact(false);
         let packed = a.save_bytes_compact(true);
-        assert_eq!(u32::from_le_bytes(raw[4..8].try_into().unwrap()), ATLAS_VERSION_COMPACT);
-        let from_v1 = Atlas::load_bytes(&v1).unwrap();
+        assert_eq!(version_word(&raw), ATLAS_VERSION_COMPACT);
         let from_raw = Atlas::load_bytes(&raw).unwrap();
         let from_packed = Atlas::load_bytes(&packed).unwrap();
         for s in 0..a.n_sites() {
             for t in 0..a.n_sites() {
                 let d = a.distance(s, t);
-                assert_eq!(from_v1.distance(s, t).to_bits(), d.to_bits());
                 assert_eq!(from_raw.distance(s, t).to_bits(), d.to_bits());
                 let dq = from_packed.distance(s, t);
                 // Each routed answer sums ≤ 3 quantized legs and takes a
@@ -1290,6 +1246,18 @@ mod tests {
         }
         assert_eq!(from_raw.save_bytes_compact(false), raw);
         assert_eq!(from_packed.save_bytes_compact(true), packed);
+
+        // A v1 image keeps loading, and its lossless v2 re-encode answers
+        // bit-identically to it. (`tests/persist_corruption.rs` checks each
+        // v1 fixture against the build that wrote it.)
+        assert_eq!(version_word(V1_ATLAS), ATLAS_VERSION);
+        let from_v1 = Atlas::load_bytes(V1_ATLAS).unwrap();
+        let reencoded = Atlas::load_bytes(&from_v1.save_bytes_compact(false)).unwrap();
+        for s in 0..from_v1.n_sites() {
+            for t in 0..from_v1.n_sites() {
+                assert_eq!(from_v1.distance(s, t).to_bits(), reencoded.distance(s, t).to_bits());
+            }
+        }
     }
 
     #[test]
@@ -1317,57 +1285,50 @@ mod tests {
     fn hostile_nested_length_is_corrupt_not_a_panic() {
         // A SEAT image whose first tile's nested-oracle length field is
         // u64::MAX (checksum recomputed so the frame accepts it) must
-        // come back as Corrupt, not overflow/panic inside the cursor.
-        let a = small_atlas(8, 47, 0.25);
-        let mut bytes = a.save_bytes();
-        // Offset of the first tile's blob length within the payload:
-        // eps (8) + three counts (12) + per-site membership records.
-        let mut at = 16 + 8 + 12;
-        for members in a.site_members() {
-            at += 8 + 8 * members.len();
+        // come back as Corrupt, not overflow/panic inside the cursor — in
+        // the v1 layout and in the v2 layout.
+        let v2 = small_atlas(8, 47, 0.25).save_bytes_compact(false);
+        for image in [V1_ATLAS, &v2[..]] {
+            let (version, payload) = (version_word(image), &image[16..image.len() - 8]);
+            // Every tile segment opens with its nested image's length.
+            let (first, _) = parse_seat_layout(payload, version).unwrap().segments[0];
+            let bytes = patch_payload(image, first, &u64::MAX.to_le_bytes());
+            assert!(
+                matches!(
+                    Atlas::load_bytes(&bytes),
+                    Err(PersistError::Corrupt("truncated payload"))
+                ),
+                "version {version}"
+            );
         }
-        bytes[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        let payload_len = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
-        let sum = fnv1a(&bytes[16..16 + payload_len]);
-        let tail = 16 + payload_len;
-        bytes[tail..tail + 8].copy_from_slice(&sum.to_le_bytes());
-        assert!(matches!(
-            Atlas::load_bytes(&bytes),
-            Err(PersistError::Corrupt("truncated payload"))
-        ));
     }
 
     #[test]
     fn hostile_header_counts_are_corrupt_not_an_allocation() {
         // Patching n_portals (or n_sites/n_tiles) to u32::MAX with a
         // recomputed checksum must fail the plausibility bound, not reach
-        // the portal-graph/membership allocations.
-        let a = small_atlas(8, 49, 0.25);
-        let base = a.save_bytes();
-        // Header count offsets within the payload: eps (8) then
-        // n_sites/n_portals/n_tiles at 8/12/16.
-        for count_off in [8usize, 12, 16] {
-            let mut bytes = base.clone();
-            let at = 16 + count_off;
-            bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-            let payload_len = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
-            let sum = fnv1a(&bytes[16..16 + payload_len]);
-            let tail = 16 + payload_len;
-            bytes[tail..tail + 8].copy_from_slice(&sum.to_le_bytes());
-            assert!(
-                matches!(
-                    Atlas::load_bytes(&bytes),
-                    Err(PersistError::Corrupt("implausible atlas counts"))
-                ),
-                "count at payload offset {count_off} accepted"
-            );
+        // the portal-graph/membership allocations. Both layouts open with
+        // eps (8) then n_sites/n_portals/n_tiles at payload offsets 8/12/16.
+        let v2 = small_atlas(8, 49, 0.25).save_bytes_compact(false);
+        for image in [V1_ATLAS, &v2[..]] {
+            for count_off in [8usize, 12, 16] {
+                let bytes = patch_payload(image, count_off, &u32::MAX.to_le_bytes());
+                assert!(
+                    matches!(
+                        Atlas::load_bytes(&bytes),
+                        Err(PersistError::Corrupt("implausible atlas counts"))
+                    ),
+                    "count at payload offset {count_off} accepted (version {})",
+                    version_word(image)
+                );
+            }
         }
     }
 
     #[test]
     fn atlas_detects_corruption_and_truncation() {
         let a = small_atlas(12, 45, 0.25);
-        let bytes = a.save_bytes();
+        let bytes = a.save_bytes_compact(false);
         // Flip one payload byte: the frame checksum catches it.
         let mut flipped = bytes.clone();
         let mid = 16 + (flipped.len() - 24) / 2;
@@ -1394,7 +1355,7 @@ mod tests {
         let sp = VertexSiteSpace::new(Arc::new(IchEngine::new(Arc::new(refined.mesh))), sites);
         let eps = 0.2;
         let o = SeOracle::build(&sp, eps, &BuildConfig::default()).unwrap();
-        let loaded = SeOracle::load_bytes(&o.save_bytes()).unwrap();
+        let loaded = SeOracle::load_bytes(&o.save_bytes_compact(false)).unwrap();
         use geodesic::sitespace::SiteSpace;
         for s in 0..loaded.n_sites() {
             let exact = sp.all_distances(s);

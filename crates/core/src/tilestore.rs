@@ -9,15 +9,19 @@
 //!
 //! # Validation happens once, at open
 //!
-//! `TileStore::open` reads the whole image transiently: frame header,
-//! payload checksum, and **every** tile segment are validated (each nested
-//! oracle image carries its own checksum), the atlas-level metadata
-//! (portal lists, portal tables, site membership) is retained, and the
-//! decoded tiles are dropped again. After a successful open the only
-//! failures left on the tile path are environmental — the backing file
-//! shrank or was rewritten underneath us. `TileStore::tile` reports those
-//! as [`QueryError::TileUnavailable`] without caching anything, so the
-//! store stays healthy and the next miss on the tile reads it again.
+//! `TileStore::open` reads the whole image transiently through
+//! `persist::read_framed`, the frame reader every image loader and the wire
+//! protocol share, so the frame header, length and payload checksum are
+//! checked exactly as a resident load checks them. It then validates
+//! **every** tile segment (each nested oracle image carries its own
+//! checksum), retains the atlas-level metadata (portal lists, portal
+//! tables, site membership), and drops the decoded tiles again. The file
+//! handle it read through stays open for the store's tile reads. After a
+//! successful open the only failures left on the tile path are
+//! environmental — the backing file shrank or was rewritten underneath
+//! us. `TileStore::tile` reports those as [`QueryError::TileUnavailable`]
+//! without caching anything, so the store stays healthy and the next miss
+//! on the tile reads it again.
 //!
 //! # Determinism
 //!
@@ -29,8 +33,8 @@
 //!
 //! # Metrics
 //!
-//! The store registers in the [`obs::Registry`] handed to
-//! `TileStore::open`: counters `atlas_tile_hits_total`,
+//! The store registers in its own [`obs::Registry`] (see
+//! [`TileStore::registry`]): counters `atlas_tile_hits_total`,
 //! `atlas_tile_misses_total`, `atlas_tile_loads_total`,
 //! `atlas_tile_load_failures_total`, `atlas_tile_evictions_total` and
 //! gauges `atlas_tiles_resident`, `atlas_resident_bytes`. Every miss
@@ -53,8 +57,8 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use crate::atlas::AtlasTile;
 use crate::oracle::QueryError;
 use crate::persist::{
-    decode_tile_segment, fnv1a, parse_frame_header, parse_seat_layout, PersistError, ATLAS_MAGIC,
-    ATLAS_VERSION, ATLAS_VERSION_COMPACT, IMAGE_FRAME_CAP,
+    decode_tile_segment, parse_seat_layout, read_framed, PersistError, ATLAS_MAGIC, ATLAS_VERSION,
+    ATLAS_VERSION_COMPACT, IMAGE_FRAME_CAP,
 };
 
 /// Per-tile portal payload: the tile's `(portal ids, portal–portal
@@ -148,48 +152,22 @@ pub struct TileStore {
 impl TileStore {
     /// Opens and fully validates a `SEAT` image for out-of-core serving.
     ///
-    /// Reads the whole file once: frame header and payload checksum,
+    /// Reads the whole file once: the frame (through `read_framed`), the
     /// atlas layout, and every tile segment (decoded transiently to
     /// validate it and measure its resident footprint, then dropped).
-    /// Returns the store plus the atlas-level [`StoreMeta`] the caller
-    /// assembles an [`crate::Atlas`] from. `resident_budget` caps the
-    /// decoded bytes held at once; metrics land in `registry`.
+    /// Returns the store, which keeps the opened file for its tile reads,
+    /// plus the atlas-level [`StoreMeta`] the caller assembles an
+    /// [`crate::Atlas`] from. `resident_budget` caps the decoded bytes held
+    /// at once.
     pub(crate) fn open(
         path: &Path,
         resident_budget: usize,
-        registry: obs::Registry,
     ) -> Result<(TileStore, StoreMeta), PersistError> {
-        let bytes = std::fs::read(path)?;
-        if bytes.len() < 16 {
-            return Err(PersistError::Truncated { declared: 16, available: bytes.len() as u64 });
-        }
-        let mut head = [0u8; 16];
-        head.copy_from_slice(&bytes[..16]);
-        let (version, len) = parse_frame_header(
-            &head,
-            ATLAS_MAGIC,
-            ATLAS_VERSION..=ATLAS_VERSION_COMPACT,
-            IMAGE_FRAME_CAP,
-        )?;
-        let len = len as usize;
-        let have = bytes.len() - 16;
-        if have < len + 8 {
-            return Err(PersistError::Truncated {
-                declared: len as u64 + 8,
-                available: have as u64,
-            });
-        }
-        let payload = &bytes[16..16 + len];
-        let sum = u64::from_le_bytes({
-            let mut s = [0u8; 8];
-            s.copy_from_slice(&bytes[16 + len..16 + len + 8]);
-            s
-        });
-        if sum != fnv1a(payload) {
-            return Err(PersistError::Corrupt("checksum mismatch"));
-        }
+        let mut file = File::open(path)?;
+        let versions = ATLAS_VERSION..=ATLAS_VERSION_COMPACT;
+        let (version, payload) = read_framed(&mut file, ATLAS_MAGIC, versions, IMAGE_FRAME_CAP)?;
 
-        let layout = parse_seat_layout(payload, version)?;
+        let layout = parse_seat_layout(&payload, version)?;
         let n_tiles = layout.segments.len();
         let mut segments = Vec::with_capacity(n_tiles);
         let mut decoded_sizes = Vec::with_capacity(n_tiles);
@@ -202,6 +180,8 @@ impl TileStore {
                 decode_tile_segment(&payload[off..off + seg_len], version, layout.n_portals)?;
             decoded_sizes.push(tile.footprint());
             tile_sites.push(tile.oracle.n_sites());
+            // Segment spans are payload-relative; the 16-byte frame header
+            // precedes the payload in the file.
             segments.push((16 + off as u64, seg_len));
             let AtlasTile { oracle: _, portals, portal_table } = tile;
             portal_data.push((portals, portal_table));
@@ -213,7 +193,7 @@ impl TileStore {
                 }
             }
         }
-        drop(bytes);
+        drop(payload);
 
         let meta = StoreMeta {
             eps: layout.eps,
@@ -223,7 +203,7 @@ impl TileStore {
             portal_data,
             tile_sites,
         };
-        let file = File::open(path)?;
+        let registry = obs::Registry::new();
         let store = TileStore {
             // lint: allow(d3, "constructing the residency cache; see module docs")
             state: Mutex::new(StoreState {

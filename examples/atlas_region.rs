@@ -136,9 +136,9 @@ fn main() {
     // 3. Persist the whole atlas, reload, and serve concurrently: the
     //    image round-trips byte-identically and a 4-thread handle answers
     //    bit-identically to the in-memory build.
-    let image = atlas.save_bytes();
+    let image = atlas.save_bytes_compact(false);
     let reloaded = Atlas::load_bytes(&image).expect("reload atlas image");
-    assert_eq!(reloaded.save_bytes(), image, "image must round-trip byte-identically");
+    assert_eq!(reloaded.save_bytes_compact(false), image, "image must round-trip byte-identically");
     let handle = AtlasHandle::new(reloaded);
     let pairs = pair_stream(0xA71A_5EED, 1, 20_000, n);
     let t0 = Instant::now();

@@ -32,7 +32,7 @@ fn main() {
     let path = dir.join("terrain-oracle-example.seor");
     let t0 = Instant::now();
     let mut f = std::fs::File::create(&path).expect("create image file");
-    built.oracle().save_to(&mut f).expect("serialize");
+    built.oracle().save_to_compact(&mut f, false).expect("serialize");
     drop(f);
     let save_time = t0.elapsed();
     let file_len = std::fs::metadata(&path).expect("stat").len();

@@ -31,7 +31,7 @@ fn main() {
         .expect("oracle construction");
     let path = std::env::temp_dir().join("terrain-oracle-query-server.seor");
     let mut f = std::fs::File::create(&path).expect("create image");
-    built.oracle().save_to(&mut f).expect("serialize");
+    built.oracle().save_to_compact(&mut f, false).expect("serialize");
     drop(f);
     println!(
         "offline: built SE(ε={eps}) over {} POIs and persisted it in {:.2?}",

@@ -68,9 +68,11 @@ USAGE:
   terrain-oracle build --mesh <file.off> --pois <file.csv> --eps <f>
                        --out <file.seor> [--engine exact|edge|steiner]
                        [--threads <n>]   (0 = auto-detect; default 0)
-                       [--compress]      (write the compact v2 image:
-                       quantized + delta-coded tables; answers within
-                       (1+eps)(1+EPS_QUANT), EPS_QUANT = 2^-20)
+                       [--compress]      (quantize the image's tables:
+                       answers within (1+eps)(1+EPS_QUANT), EPS_QUANT =
+                       2^-20, from a smaller image; without it the tables
+                       are raw and answers bit-identical. Images are
+                       always format v2.)
                        [--trace <file.json>]  (write a Chrome trace-event
                        JSON of the build phases; view in chrome://tracing
                        or Perfetto. The built image is byte-identical with
@@ -95,8 +97,8 @@ USAGE:
                        [--portal-spacing <k>] [--engine exact|edge|steiner]
                        [--threads <n>] [--compress]   (tiled per-piece
                        oracles + portal graph; defaults: 2x2 grid, 0.15
-                       overlap, spacing 8; --compress writes the compact
-                       v2 image)
+                       overlap, spacing 8; the image is format v2, and
+                       --compress quantizes its tables as for build)
   terrain-oracle atlas-query --atlas <file.seat> [--pairs-file <f>]
                        [--threads <n>]   (pairs from the file or stdin, one
                        '<s> <t>' per line; 0 threads = auto-detect)
@@ -240,12 +242,10 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
     );
     let mut f =
         std::fs::File::create(&out_path).map_err(|e| format!("creating {out_path}: {e}"))?;
-    if compress {
-        oracle.oracle().save_to_compact(&mut f, true)
-    } else {
-        oracle.oracle().save_to(&mut f)
-    }
-    .map_err(|e| format!("writing {out_path}: {e}"))?;
+    oracle
+        .oracle()
+        .save_to_compact(&mut f, compress)
+        .map_err(|e| format!("writing {out_path}: {e}"))?;
     println!("{out_path}");
     Ok(())
 }
@@ -521,8 +521,7 @@ fn cmd_atlas_build(args: &[String]) -> Result<(), String> {
     );
     let mut f =
         std::fs::File::create(&out_path).map_err(|e| format!("creating {out_path}: {e}"))?;
-    if compress { atlas.save_to_compact(&mut f, true) } else { atlas.save_to(&mut f) }
-        .map_err(|e| format!("writing {out_path}: {e}"))?;
+    atlas.save_to_compact(&mut f, compress).map_err(|e| format!("writing {out_path}: {e}"))?;
     println!("{out_path}");
     Ok(())
 }

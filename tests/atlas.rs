@@ -179,9 +179,9 @@ fn persisted_atlas_byte_identical_level5() {
     )
     .unwrap();
 
-    let bytes = atlas.save_bytes();
+    let bytes = atlas.save_bytes_compact(false);
     let loaded = Atlas::load_bytes(&bytes).expect("reload");
-    assert_eq!(bytes, loaded.save_bytes(), "image not canonical after reload");
+    assert_eq!(bytes, loaded.save_bytes_compact(false), "image not canonical after reload");
 
     let built = AtlasHandle::new(atlas);
     let served = AtlasHandle::new(loaded);

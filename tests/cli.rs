@@ -24,6 +24,15 @@ fn stderr(o: &Output) -> String {
     String::from_utf8_lossy(&o.stderr).into_owned()
 }
 
+/// Every image the CLI writes is format v2 (v1 images are read, never
+/// written); returns the image's length.
+fn assert_version_2(image: &std::path::Path, magic: &[u8; 4]) -> usize {
+    let bytes = std::fs::read(image).unwrap();
+    assert_eq!(&bytes[0..4], magic, "{} is the wrong image kind", image.display());
+    assert_eq!(bytes[4..8], 2u32.to_le_bytes(), "{} is not format version 2", image.display());
+    bytes.len()
+}
+
 #[test]
 fn full_workflow_gen_build_info_query_knn() {
     let dir = tmp_dir("flow");
@@ -59,7 +68,7 @@ fn full_workflow_gen_build_info_query_knn() {
         "exact",
     ]);
     assert!(o.status.success(), "build failed: {}", stderr(&o));
-    assert!(image.exists());
+    assert_version_2(&image, b"SEOR");
 
     // info
     let o = run(&["info", "--oracle", image.to_str().unwrap()]);
@@ -456,45 +465,68 @@ fn atlas_workflow_build_query_and_errors() {
         .unwrap();
 
     // atlas-build with explicit grid flags.
-    let o = run(&[
-        "atlas-build",
-        "--mesh",
-        mesh.to_str().unwrap(),
-        "--pois",
-        pois.to_str().unwrap(),
-        "--eps",
-        "0.2",
-        "--out",
-        seat.to_str().unwrap(),
-        "--engine",
-        "edge",
-        "--grid",
-        "2x2",
-        "--overlap",
-        "0.2",
-        "--portal-spacing",
-        "2",
-    ]);
+    let atlas_build = |out: &std::path::Path, extra: &[&str]| {
+        let mut args = vec![
+            "atlas-build",
+            "--mesh",
+            mesh.to_str().unwrap(),
+            "--pois",
+            pois.to_str().unwrap(),
+            "--eps",
+            "0.2",
+            "--out",
+            out.to_str().unwrap(),
+            "--engine",
+            "edge",
+            "--grid",
+            "2x2",
+            "--overlap",
+            "0.2",
+            "--portal-spacing",
+            "2",
+        ];
+        args.extend_from_slice(extra);
+        run(&args)
+    };
+    let o = atlas_build(&seat, &[]);
     assert!(o.status.success(), "atlas-build failed: {}", stderr(&o));
-    assert!(seat.exists());
+    let seat_len = assert_version_2(&seat, b"SEAT");
     assert!(stderr(&o).contains("portals"), "stats line expected: {}", stderr(&o));
 
     // A monolithic image over the same inputs: the two CLIs must agree
     // within the documented routing bound.
-    let o = run(&[
-        "build",
-        "--mesh",
-        mesh.to_str().unwrap(),
-        "--pois",
-        pois.to_str().unwrap(),
-        "--eps",
-        "0.2",
-        "--out",
-        seor.to_str().unwrap(),
-        "--engine",
-        "edge",
-    ]);
+    let build = |out: &std::path::Path, extra: &[&str]| {
+        let mut args = vec![
+            "build",
+            "--mesh",
+            mesh.to_str().unwrap(),
+            "--pois",
+            pois.to_str().unwrap(),
+            "--eps",
+            "0.2",
+            "--out",
+            out.to_str().unwrap(),
+            "--engine",
+            "edge",
+        ];
+        args.extend_from_slice(extra);
+        run(&args)
+    };
+    let o = build(&seor, &[]);
     assert!(o.status.success(), "build failed: {}", stderr(&o));
+    let seor_len = assert_version_2(&seor, b"SEOR");
+
+    // --compress writes the quantized v2 image, smaller than the raw one.
+    let packed = dir.join("packed.seat");
+    let o = atlas_build(&packed, &["--compress"]);
+    assert!(o.status.success(), "atlas-build --compress failed: {}", stderr(&o));
+    let packed_len = assert_version_2(&packed, b"SEAT");
+    assert!(packed_len < seat_len, "compressed atlas {packed_len} B vs raw {seat_len} B");
+    let packed = dir.join("packed.seor");
+    let o = build(&packed, &["--compress"]);
+    assert!(o.status.success(), "build --compress failed: {}", stderr(&o));
+    let packed_len = assert_version_2(&packed, b"SEOR");
+    assert!(packed_len < seor_len, "compressed oracle {packed_len} B vs raw {seor_len} B");
 
     let pairs = dir.join("pairs.txt");
     std::fs::write(

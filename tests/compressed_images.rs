@@ -169,13 +169,13 @@ fn compressed_atlas_answers_within_quant_budget() {
     )
     .unwrap();
 
-    let v1 = atlas.save_bytes();
+    let raw = atlas.save_bytes_compact(false);
     let image = atlas.save_bytes_compact(true);
     assert!(
-        image.len() < v1.len(),
-        "compressed image ({} B) not smaller than v1 ({} B)",
+        image.len() < raw.len(),
+        "compressed image ({} B) not smaller than raw v2 ({} B)",
         image.len(),
-        v1.len()
+        raw.len()
     );
     let packed = Atlas::load_bytes(&image).expect("compact atlas must load");
     let n = atlas.n_sites() as u32;
@@ -189,7 +189,6 @@ fn compressed_atlas_answers_within_quant_budget() {
     assert_eq!(image, packed.save_bytes_compact(true), "atlas compact encoder not canonical");
 
     // Compression off: answers bit-identical to the original atlas.
-    let raw = atlas.save_bytes_compact(false);
     let exact = Atlas::load_bytes(&raw).expect("raw compact atlas must load");
     for s in 0..n {
         for t in 0..n {

@@ -129,7 +129,7 @@ fn persisted_oracle_round_trips_through_disk() {
     let path = dir.join("oracle.seor");
 
     let mut f = std::fs::File::create(&path).unwrap();
-    se.save_to(&mut f).unwrap();
+    se.save_to_compact(&mut f, false).unwrap();
     drop(f);
 
     let mut f = std::fs::File::open(&path).unwrap();
@@ -151,7 +151,8 @@ fn proximity_index_works_on_loaded_oracle() {
     // (tree shape, radii, pair distances).
     let oracle = build_p2p(411, 20, 0.2);
     let se = oracle.oracle();
-    let loaded = terrain_oracle::oracle::SeOracle::load_bytes(&se.save_bytes()).unwrap();
+    let loaded =
+        terrain_oracle::oracle::SeOracle::load_bytes(&se.save_bytes_compact(false)).unwrap();
     let idx_orig = ProximityIndex::new(se);
     let idx_load = ProximityIndex::new(&loaded);
     for q in 0..se.n_sites() {

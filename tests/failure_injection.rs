@@ -132,7 +132,7 @@ fn corrupt_image_every_prefix_rejected_or_roundtrips() {
     let pois = sample_uniform(&mesh, 8, 11);
     let o =
         P2POracle::build(&mesh, &pois, 0.25, EngineKind::Exact, &BuildConfig::default()).unwrap();
-    let bytes = o.oracle().save_bytes();
+    let bytes = o.oracle().save_bytes_compact(false);
     for cut in (0..bytes.len()).step_by(bytes.len().div_ceil(40).max(1)) {
         assert!(
             SeOracle::load_bytes(&bytes[..cut]).is_err(),

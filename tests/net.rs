@@ -36,7 +36,7 @@ use terrain_oracle::prelude::EngineKind;
 /// image, exactly like a production `oracled` deployment.
 fn loaded_handle(seed: u64, n: usize) -> QueryHandle {
     let p2p = build_p2p(seed, n, 0.25, EngineKind::EdgeGraph);
-    let bytes = p2p.into_oracle().save_bytes();
+    let bytes = p2p.into_oracle().save_bytes_compact(false);
     QueryHandle::new(SeOracle::load_bytes(&bytes).unwrap())
 }
 
@@ -438,7 +438,7 @@ fn eight_clients_are_bit_identical_to_serial_replay() {
 #[test]
 fn rewritten_atlas_file_errors_typed_then_recovers() {
     let atlas = small_atlas();
-    let bytes = atlas.save_bytes();
+    let bytes = atlas.save_bytes_compact(false);
     let path = tmp_dir("net").join("rewritten.seat");
     std::fs::write(&path, &bytes).unwrap();
     let a = lone_member_site(&path);
@@ -505,11 +505,11 @@ fn backend_open_picks_the_loader_from_the_magic() {
 
     let oracle = build_p2p(37, 16, 0.25, EngineKind::EdgeGraph).into_oracle();
     let seor = dir.join("open.seor");
-    std::fs::write(&seor, oracle.save_bytes()).unwrap();
+    std::fs::write(&seor, oracle.save_bytes_compact(false)).unwrap();
     let atlas = small_atlas();
     // Named `.bin`: the loader goes by the magic, not the file name.
     let seat = dir.join("open-atlas.bin");
-    std::fs::write(&seat, atlas.save_bytes()).unwrap();
+    std::fs::write(&seat, atlas.save_bytes_compact(false)).unwrap();
 
     let answers = |b: &Backend, pairs: &[(u32, u32)]| match b {
         Backend::Oracle(h) => h.distance_many(pairs),
@@ -563,7 +563,7 @@ fn loadgen_verify_refuses_an_image_with_another_site_count() {
     let (serves, has) = (served.n_sites(), other.n_sites());
     assert_ne!(serves, has, "the fixture needs two site counts");
     let image = tmp_dir("net").join("fewer-sites.seor");
-    std::fs::write(&image, other.save_bytes()).unwrap();
+    std::fs::write(&image, other.save_bytes_compact(false)).unwrap();
 
     let (addr, server) = start(Backend::Oracle(served), ServeConfig::default());
     let out = Command::new(env!("CARGO_BIN_EXE_oracle-loadgen"))

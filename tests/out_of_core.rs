@@ -4,11 +4,17 @@
 //! mid-query eviction thrash — and the tile store's counters and gauges
 //! must reconcile (`loads == misses`, `resident_bytes ≤ budget`).
 //!
-//! Also pins the PR's size acceptance: the compressed (v2) level-6 `SEAT`
-//! image is ≥ 2× smaller than v1, and serving it out-of-core stays within
-//! the `(1+ε)(1+EPS_QUANT)` budget — and that a backing file rewritten
-//! under a running store fails queries with a typed error, leaves the
-//! store healthy, and serves again once the bytes are back.
+//! Also pins the size acceptance of the compact format: the compressed
+//! (v2) level-6 `SEAT` image is ≥ 2× smaller than the v1 image of the same
+//! atlas, and serving it out-of-core stays within the
+//! `(1+ε)(1+EPS_QUANT)` budget — and that a backing file rewritten under a
+//! running store fails queries with a typed error, leaves the store
+//! healthy, and serves again once the bytes are back.
+//!
+//! The level-6 image is a checked-in v1 fixture (this build reads v1 but
+//! writes only v2), so these runs also cover the tile store's v1 segment
+//! walk. One test pins that the fixture decodes to the atlas its
+//! constructor builds.
 
 mod common;
 
@@ -16,27 +22,24 @@ use common::{lone_member_site, mesh_with_pois, refine_sites, tmp_dir};
 use std::sync::{Arc, OnceLock};
 use terrain_oracle::oracle::atlas::{Atlas, AtlasConfig, AtlasHandle};
 use terrain_oracle::oracle::serve::pair_stream;
-use terrain_oracle::oracle::telemetry::{lookup, Registry};
-use terrain_oracle::oracle::{QueryError, EPS_QUANT};
-use terrain_oracle::prelude::*;
+use terrain_oracle::oracle::telemetry::lookup;
+use terrain_oracle::oracle::{EngineKind, QueryError, EPS_QUANT};
 use terrain_oracle::terrain::tile::TileGridConfig;
 
 const QUERIES: usize = 10_000;
 const THREADS: usize = 8;
 
-/// The level-6 fixture: a 2×2 atlas over a 65×65 fractal terrain, built
-/// once, shared by every test in the file.
+/// The level-6 fixture: the v1 image of a 2×2 atlas over a 65×65 fractal
+/// terrain (constructor in `tests/fixtures/v1/README.md`).
+const LEVEL6_V1: &[u8] = include_bytes!("fixtures/v1/atlas-l6.seat");
+
+/// [`LEVEL6_V1`] loaded fully resident, once, shared by every test in the
+/// file: the reference each out-of-core run of the same bytes must match.
 fn level6_atlas() -> &'static Atlas {
     static A: OnceLock<Atlas> = OnceLock::new();
     A.get_or_init(|| {
-        let (mesh, pois) = mesh_with_pois(6, 0.6, 0xC6, 36);
-        let (refined, sites) = refine_sites(&mesh, &pois);
-        let cfg = AtlasConfig {
-            grid: TileGridConfig { portal_spacing: 4, ..Default::default() },
-            ..Default::default()
-        };
-        Atlas::build_over_vertices(Arc::new(refined.mesh), sites, 0.25, EngineKind::EdgeGraph, &cfg)
-            .unwrap()
+        assert_eq!(LEVEL6_V1[4..8], 1u32.to_le_bytes(), "the fixture must be a v1 image");
+        Atlas::load_bytes(LEVEL6_V1).unwrap()
     })
 }
 
@@ -70,7 +73,7 @@ fn decoded_total(path: &std::path::Path) -> usize {
 #[test]
 fn thrashing_out_of_core_run_is_bit_identical_across_8_threads() {
     let atlas = level6_atlas();
-    let path = write_image("v1", &atlas.save_bytes());
+    let path = write_image("v1", LEVEL6_V1);
     let pairs = workload(atlas.n_sites());
     let want: Vec<u64> = atlas.distance_many(&pairs).into_iter().map(f64::to_bits).collect();
 
@@ -107,7 +110,7 @@ fn single_tile_floor_budget_still_answers_identically() {
     // Budget 0: the floor is one resident tile — maximal thrash. Answers
     // must not change, and the resident set must never exceed one tile.
     let atlas = level6_atlas();
-    let path = write_image("v1-floor", &atlas.save_bytes());
+    let path = write_image("v1-floor", LEVEL6_V1);
     let pairs = workload(atlas.n_sites());
     let want: Vec<u64> = atlas.distance_many(&pairs).into_iter().map(f64::to_bits).collect();
 
@@ -125,18 +128,16 @@ fn single_tile_floor_budget_still_answers_identically() {
 
 #[test]
 fn gauges_and_counters_reconcile_in_the_registry() {
-    let atlas = level6_atlas();
-    let path = write_image("v1-metrics", &atlas.save_bytes());
-    let registry = terrain_oracle::oracle::telemetry::Registry::new();
-    let ooc = Atlas::open_out_of_core_with(&path, usize::MAX, registry.clone()).unwrap();
+    let path = write_image("v1-metrics", LEVEL6_V1);
+    let ooc = Atlas::open_out_of_core(&path, usize::MAX).unwrap();
     let pairs = workload(ooc.n_sites());
     let _ = ooc.distance_many(&pairs);
 
-    let stats = ooc.tile_store().unwrap().stats();
-    let text = registry.expose();
+    let store = ooc.tile_store().unwrap();
+    let stats = store.stats();
+    let text = store.registry().expose();
     let metric = |name: &str| {
-        terrain_oracle::oracle::telemetry::lookup(&text, name)
-            .unwrap_or_else(|| panic!("{name} missing from exposition:\n{text}"))
+        lookup(&text, name).unwrap_or_else(|| panic!("{name} missing from exposition:\n{text}"))
     };
     assert_eq!(metric("atlas_tile_hits_total"), stats.hits);
     assert_eq!(metric("atlas_tile_misses_total"), stats.misses);
@@ -149,13 +150,44 @@ fn gauges_and_counters_reconcile_in_the_registry() {
 }
 
 #[test]
-fn compressed_level6_image_halves_and_serves_out_of_core() {
-    // The PR's size acceptance: the compressed level-6 SEAT image is
-    // ≥ 2× smaller than v1, and an out-of-core run over it stays within
-    // (1+EPS_QUANT) of the resident *uncompressed* answers — composing
-    // with the oracle's (1+ε) into the documented total budget.
+fn level6_fixture_decodes_to_its_constructor() {
+    // The fixture decodes to exactly the atlas its constructor builds
+    // (equal raw v2 re-encodes: raw v2 is lossless and canonical), so every
+    // comparison against `level6_atlas()` is a comparison against the build.
+    let (mesh, pois) = mesh_with_pois(6, 0.6, 0xC6, 36);
+    let (refined, sites) = refine_sites(&mesh, &pois);
+    let cfg = AtlasConfig {
+        grid: TileGridConfig { portal_spacing: 4, ..Default::default() },
+        ..Default::default()
+    };
+    let built = Atlas::build_over_vertices(
+        Arc::new(refined.mesh),
+        sites,
+        0.25,
+        EngineKind::EdgeGraph,
+        &cfg,
+    )
+    .unwrap();
     let atlas = level6_atlas();
-    let v1 = atlas.save_bytes();
+    assert!(
+        atlas.save_bytes_compact(false) == built.save_bytes_compact(false),
+        "the level-6 fixture does not decode to its constructor"
+    );
+    let pairs = workload(built.n_sites());
+    let bits =
+        |a: &Atlas| a.distance_many(&pairs).into_iter().map(f64::to_bits).collect::<Vec<_>>();
+    assert_eq!(bits(atlas), bits(&built), "the fixture answers differently from its build");
+}
+
+#[test]
+fn compressed_level6_image_halves_and_serves_out_of_core() {
+    // The size acceptance: the compressed level-6 SEAT image is ≥ 2×
+    // smaller than v1, and an out-of-core run over it stays within
+    // (1+EPS_QUANT) of the resident *uncompressed* answers — composing
+    // with the oracle's (1+ε) into the documented total budget. The v2
+    // image is the compressed re-encode of the v1 fixture's resident load.
+    let atlas = level6_atlas();
+    let v1 = LEVEL6_V1;
     let v2 = atlas.save_bytes_compact(true);
     assert!(
         v1.len() >= 2 * v2.len(),
@@ -190,20 +222,18 @@ fn compressed_level6_image_halves_and_serves_out_of_core() {
 #[test]
 fn rewritten_backing_file_fails_typed_and_recovers() {
     let atlas = level6_atlas();
-    let bytes = atlas.save_bytes();
-    let path = write_image("v1-rewritten", &bytes);
+    let path = write_image("v1-rewritten", LEVEL6_V1);
     let a = lone_member_site(&path);
     let b = (0..atlas.n_sites()).find(|&b| atlas.tile_of_site(b) != atlas.tile_of_site(a)).unwrap();
     let (pa, pb) = ([(a as u32, a as u32)], [(b as u32, b as u32)]);
 
     // A one-tile budget: after this query, a's home is the one resident tile.
-    let registry = Registry::new();
-    let ooc = Atlas::open_out_of_core_with(&path, 0, registry.clone()).unwrap();
+    let ooc = Atlas::open_out_of_core(&path, 0).unwrap();
     let (warm, _) = ooc.distance_many_checked_with_stats(&pa).unwrap();
 
     // Overwrite the backing file in place: the store's open handle now
     // reads zeros, and b needs a tile that is not resident.
-    std::fs::write(&path, vec![0u8; bytes.len()]).unwrap();
+    std::fs::write(&path, vec![0u8; LEVEL6_V1.len()]).unwrap();
     match ooc.distance_many_checked_with_stats(&pb) {
         Err(QueryError::TileUnavailable { tile }) => {
             assert_ne!(tile, atlas.tile_of_site(a), "the resident tile needs no read")
@@ -217,19 +247,19 @@ fn rewritten_backing_file_fails_typed_and_recovers() {
     assert_eq!(stats.load_failures, 1);
     assert_eq!(stats.loads + stats.load_failures, stats.misses);
     assert_eq!(stats.resident_tiles, 1);
+    let registry = ooc.tile_store().unwrap().registry();
     assert_eq!(lookup(&registry.expose(), "atlas_tile_load_failures_total"), Some(1));
     // Saving needs every tile, so it fails as an io::Error.
-    let err = ooc.save_to(&mut Vec::new()).unwrap_err();
+    let err = ooc.save_to_compact(&mut Vec::new(), false).unwrap_err();
     assert!(err.to_string().contains("unavailable"), "{err}");
 
     // Restore the bytes: the next miss reads the tile again, and answers
     // are bit-identical to a resident load of the same image.
-    std::fs::write(&path, &bytes).unwrap();
-    let resident = Atlas::load_bytes(&bytes).unwrap();
+    std::fs::write(&path, LEVEL6_V1).unwrap();
     let pairs = workload(atlas.n_sites());
     for batch in [&pb[..], &pairs[..1000]] {
         let (got, _) = ooc.distance_many_checked_with_stats(batch).unwrap();
-        let want = resident.distance_many(batch);
+        let want = atlas.distance_many(batch);
         assert_eq!(
             got.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
             want.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),

@@ -160,7 +160,7 @@ fn try_distance_round_trips_through_persistence() {
     // The checked query respects the range of a *loaded* oracle too.
     let o = build_p2p(113, 10, 0.25, EngineKind::Exact);
     let mut buf = Vec::new();
-    o.oracle().save_to(&mut buf).unwrap();
+    o.oracle().save_to_compact(&mut buf, false).unwrap();
     let loaded = SeOracle::load_from(&mut buf.as_slice()).unwrap();
     let n = loaded.n_sites();
     let m = n as u32;

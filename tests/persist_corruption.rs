@@ -30,13 +30,26 @@
 //! that does load is then queried over every site pair through its
 //! checked kernel, which must answer or return a typed error — never
 //! panic.
+//!
+//! The v1 images are checked-in fixtures (`tests/fixtures/v1/`), written
+//! by the v1 encoder of an earlier build: this build reads v1 but writes
+//! only v2. Each fixture is checked to carry version word 1 before use,
+//! and one test pins that each decodes to what its constructor builds.
+//!
+//! Atlas damage also goes through the out-of-core open: the image is
+//! written to a file and opened with `Atlas::open_out_of_core`, the loader
+//! a serving process uses. A strided sweep of flips and truncations must
+//! be rejected there with a typed error under the same allocation bound,
+//! and after a checksum fix-up it must accept exactly the images the
+//! resident loader accepts.
 
 mod common;
 
-use common::{build_p2p, mesh_with_pois, refine_sites};
+use common::{build_p2p, mesh_with_pois, refine_sites, tmp_dir};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 use terrain_oracle::oracle::atlas::{Atlas, AtlasConfig};
 use terrain_oracle::oracle::persist::PersistError;
@@ -93,33 +106,34 @@ fn peak() -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// Fixtures: valid images, built once per kind and level.
+// Fixtures: valid images — checked-in v1 files, and v2 images built once
+// per kind.
 // ---------------------------------------------------------------------------
 
-fn seor_level4() -> &'static Vec<u8> {
-    static B: OnceLock<Vec<u8>> = OnceLock::new();
-    B.get_or_init(|| build_p2p(101, 16, 0.25, EngineKind::EdgeGraph).into_oracle().save_bytes())
+/// A checked-in v1 image, after checking its version word.
+fn v1_fixture(image: &'static [u8]) -> &'static [u8] {
+    assert_eq!(image[4..8], 1u32.to_le_bytes(), "fixture is not a v1 image");
+    image
 }
 
-fn seor_level5() -> &'static Vec<u8> {
-    static B: OnceLock<Vec<u8>> = OnceLock::new();
-    B.get_or_init(|| {
-        let (mesh, pois) = mesh_with_pois(5, 0.6, 102, 24);
-        P2POracle::build(&mesh, &pois, 0.25, EngineKind::EdgeGraph, &BuildConfig::default())
-            .unwrap()
-            .into_oracle()
-            .save_bytes()
-    })
+/// `build_p2p(101, 16, 0.25, EngineKind::EdgeGraph)`, v1.
+fn seor_level4() -> &'static [u8] {
+    v1_fixture(include_bytes!("fixtures/v1/oracle-l4.seor"))
 }
 
-fn seat_level4() -> &'static Vec<u8> {
-    static B: OnceLock<Vec<u8>> = OnceLock::new();
-    B.get_or_init(|| build_atlas_bytes(4, 409, 24))
+/// A P2P oracle over `mesh_with_pois(5, 0.6, 102, 24)`, ε 0.25, v1.
+fn seor_level5() -> &'static [u8] {
+    v1_fixture(include_bytes!("fixtures/v1/oracle-l5.seor"))
 }
 
-fn seat_level5() -> &'static Vec<u8> {
-    static B: OnceLock<Vec<u8>> = OnceLock::new();
-    B.get_or_init(|| build_atlas_bytes(5, 410, 28))
+/// `build_atlas(4, 409, 24)`, v1.
+fn seat_level4() -> &'static [u8] {
+    v1_fixture(include_bytes!("fixtures/v1/atlas-l4.seat"))
+}
+
+/// `build_atlas(5, 410, 28)`, v1.
+fn seat_level5() -> &'static [u8] {
+    v1_fixture(include_bytes!("fixtures/v1/atlas-l5.seat"))
 }
 
 fn build_atlas(level: u32, seed: u64, n: usize) -> Atlas {
@@ -133,21 +147,23 @@ fn build_atlas(level: u32, seed: u64, n: usize) -> Atlas {
         .unwrap()
 }
 
-fn build_atlas_bytes(level: u32, seed: u64, n: usize) -> Vec<u8> {
-    build_atlas(level, seed, n).save_bytes()
-}
-
 /// Compact (v2, compressed) variants of the level-4 fixtures.
-fn seor_level4_v2() -> &'static Vec<u8> {
+fn seor_level4_v2() -> &'static [u8] {
     static B: OnceLock<Vec<u8>> = OnceLock::new();
     B.get_or_init(|| {
         build_p2p(101, 16, 0.25, EngineKind::EdgeGraph).into_oracle().save_bytes_compact(true)
     })
 }
 
-fn seat_level4_v2() -> &'static Vec<u8> {
+fn seat_level4_v2() -> &'static [u8] {
     static B: OnceLock<Vec<u8>> = OnceLock::new();
     B.get_or_init(|| build_atlas(4, 409, 24).save_bytes_compact(true))
+}
+
+/// The level-4 atlas as a raw (uncompressed) v2 image.
+fn seat_level4_v2_raw() -> &'static [u8] {
+    static B: OnceLock<Vec<u8>> = OnceLock::new();
+    B.get_or_init(|| build_atlas(4, 409, 24).save_bytes_compact(false))
 }
 
 // ---------------------------------------------------------------------------
@@ -158,6 +174,41 @@ fn seat_level4_v2() -> &'static Vec<u8> {
 enum Kind {
     Oracle,
     Atlas,
+    /// An atlas image written to a file and opened out of core.
+    OutOfCore,
+}
+
+/// A successfully loaded image of either kind.
+enum Loaded {
+    Oracle(SeOracle),
+    Atlas(Atlas),
+}
+
+/// Writes `bytes` to the calling thread's scratch file (tests run on
+/// parallel threads) and returns its path.
+fn scratch_image(bytes: &[u8]) -> PathBuf {
+    let thread = format!("{:?}", std::thread::current().id()).replace(['(', ')'], "");
+    let path = tmp_dir("persist-corruption").join(format!("{thread}.seat"));
+    std::fs::write(&path, bytes).unwrap();
+    path
+}
+
+/// Loads `bytes` as `kind` and returns the result together with the
+/// largest single allocation the load made on this thread. An
+/// out-of-core open (unbounded resident budget) first writes the bytes to
+/// a file, outside the measurement.
+fn load_measured(kind: Kind, bytes: &[u8]) -> (Result<Loaded, PersistError>, usize) {
+    reset_peak();
+    let loaded = match kind {
+        Kind::Oracle => SeOracle::load_bytes(bytes).map(Loaded::Oracle),
+        Kind::Atlas => Atlas::load_bytes(bytes).map(Loaded::Atlas),
+        Kind::OutOfCore => {
+            let path = scratch_image(bytes);
+            reset_peak();
+            Atlas::open_out_of_core(&path, usize::MAX).map(Loaded::Atlas)
+        }
+    };
+    (loaded, peak())
 }
 
 /// Loads a (presumed corrupt) image and asserts the hardening contract:
@@ -166,13 +217,8 @@ enum Kind {
 /// 4 KiB of slack covers fixed-size scratch).
 fn assert_rejected_bounded(kind: Kind, bytes: &[u8], what: &str) {
     let bound = 2 * bytes.len() + 4096;
-    reset_peak();
-    let err = match kind {
-        Kind::Oracle => SeOracle::load_bytes(bytes).err(),
-        Kind::Atlas => Atlas::load_bytes(bytes).err(),
-    };
-    let observed = peak();
-    assert!(err.is_some(), "{what}: corrupt image loaded successfully");
+    let (loaded, observed) = load_measured(kind, bytes);
+    assert!(loaded.is_err(), "{what}: corrupt image loaded successfully");
     assert!(
         observed <= bound,
         "{what}: allocation of {observed} bytes while rejecting a {}-byte input",
@@ -217,24 +263,31 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// their wire form, so a successful or nearly-successful decode costs
 /// real memory). The result itself may be `Ok` or any typed error; an
 /// image that loads must then answer queries (see [`query_every_pair`]).
+/// An out-of-core open must accept exactly the images
+/// `Atlas::load_bytes` accepts.
 fn assert_parse_contained(kind: Kind, bytes: &[u8], what: &str) {
     let bound = 32 * bytes.len() + 65536;
-    reset_peak();
-    let (oracle, atlas) = match kind {
-        Kind::Oracle => (SeOracle::load_bytes(bytes).ok(), None),
-        Kind::Atlas => (None, Atlas::load_bytes(bytes).ok()),
-    };
-    let observed = peak();
+    let (loaded, observed) = load_measured(kind, bytes);
     assert!(
         observed <= bound,
         "{what}: allocation of {observed} bytes parsing a {}-byte tampered input",
         bytes.len()
     );
-    if let Some(o) = oracle {
-        query_every_pair(o.n_sites(), |p| o.distance_many_checked_with_stats(p), what);
+    if let Kind::OutOfCore = kind {
+        assert_eq!(
+            loaded.is_ok(),
+            Atlas::load_bytes(bytes).is_ok(),
+            "{what}: the out-of-core open and the resident load disagree"
+        );
     }
-    if let Some(a) = atlas {
-        query_every_pair(a.n_sites(), |p| a.distance_many_checked_with_stats(p), what);
+    match loaded {
+        Ok(Loaded::Oracle(o)) => {
+            query_every_pair(o.n_sites(), |p| o.distance_many_checked_with_stats(p), what)
+        }
+        Ok(Loaded::Atlas(a)) => {
+            query_every_pair(a.n_sites(), |p| a.distance_many_checked_with_stats(p), what)
+        }
+        Err(_) => {}
     }
 }
 
@@ -328,6 +381,53 @@ fn seat_level4_loads_clean() {
 }
 
 #[test]
+fn v1_fixtures_decode_to_their_constructors() {
+    // Each v1 fixture must decode to exactly what its constructor builds.
+    // Raw v2 is lossless and canonical, so equal raw v2 re-encodes mean
+    // every decoded table matches the build; the answers must match too.
+    let oracle_l5 = {
+        let (mesh, pois) = mesh_with_pois(5, 0.6, 102, 24);
+        P2POracle::build(&mesh, &pois, 0.25, EngineKind::EdgeGraph, &BuildConfig::default())
+            .unwrap()
+            .into_oracle()
+    };
+    let oracles = [
+        ("oracle-l4", seor_level4(), build_p2p(101, 16, 0.25, EngineKind::EdgeGraph).into_oracle()),
+        ("oracle-l5", seor_level5(), oracle_l5),
+    ];
+    for (name, fixture, built) in oracles {
+        let loaded = SeOracle::load_bytes(fixture).unwrap();
+        assert!(
+            loaded.save_bytes_compact(false) == built.save_bytes_compact(false),
+            "{name}: the fixture does not decode to its constructor"
+        );
+        for s in 0..built.n_sites() {
+            for t in 0..built.n_sites() {
+                let (got, want) = (loaded.distance(s, t), built.distance(s, t));
+                assert_eq!(got.to_bits(), want.to_bits(), "{name}: d({s},{t})");
+            }
+        }
+    }
+    let atlases = [
+        ("atlas-l4", seat_level4(), build_atlas(4, 409, 24)),
+        ("atlas-l5", seat_level5(), build_atlas(5, 410, 28)),
+    ];
+    for (name, fixture, built) in atlases {
+        let loaded = Atlas::load_bytes(fixture).unwrap();
+        assert!(
+            loaded.save_bytes_compact(false) == built.save_bytes_compact(false),
+            "{name}: the fixture does not decode to its constructor"
+        );
+        for s in 0..built.n_sites() {
+            for t in 0..built.n_sites() {
+                let (got, want) = (loaded.distance(s, t), built.distance(s, t));
+                assert_eq!(got.to_bits(), want.to_bits(), "{name}: d({s},{t})");
+            }
+        }
+    }
+}
+
+#[test]
 fn seor_level4_every_byte_flip_rejected() {
     exhaustive_flips(Kind::Oracle, seor_level4(), "seor-l4");
 }
@@ -390,6 +490,26 @@ fn seat_v2_checksum_fixed_flips_are_contained() {
 }
 
 #[test]
+fn seat_level4_out_of_core_strided_corruption_rejected() {
+    strided_flips_and_truncations(Kind::OutOfCore, seat_level4(), "seat-l4-ooc");
+}
+
+#[test]
+fn seat_v2_level4_out_of_core_strided_corruption_rejected() {
+    strided_flips_and_truncations(Kind::OutOfCore, seat_level4_v2(), "seat-v2-l4-ooc");
+}
+
+#[test]
+fn seat_v2_checksum_fixed_flips_open_out_of_core_as_they_load() {
+    checksum_fixed_flips(Kind::OutOfCore, seat_level4_v2(), "seat-v2-l4-ooc");
+}
+
+#[test]
+fn seat_raw_v2_checksum_fixed_flips_open_out_of_core_as_they_load() {
+    checksum_fixed_flips(Kind::OutOfCore, seat_level4_v2_raw(), "seat-raw-v2-l4-ooc");
+}
+
+#[test]
 fn seor_level5_strided_corruption_rejected() {
     strided_flips_and_truncations(Kind::Oracle, seor_level5(), "seor-l5");
 }
@@ -407,7 +527,7 @@ fn inflated_length_field_is_cheap_to_reject() {
     // more than the real input.
     let image = seor_level4();
     for declared in [1u64 << 32, (1 << 40) - 1, 1 << 40, u64::MAX] {
-        let mut bad = image.clone();
+        let mut bad = image.to_vec();
         bad[8..16].copy_from_slice(&declared.to_le_bytes());
         reset_peak();
         let err = SeOracle::load_bytes(&bad).expect_err("inflated length accepted");
@@ -438,7 +558,7 @@ proptest! {
             (Kind::Oracle, seor_level4_v2()),
             (Kind::Atlas, seat_level4_v2()),
         ] {
-            let mut bad = image.clone();
+            let mut bad = image.to_vec();
             // Truncate to a pseudo-random prefix (sometimes full length).
             let keep = if cut_ppm < 500_000 {
                 bad.len()

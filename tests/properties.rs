@@ -133,7 +133,7 @@ proptest! {
             &mesh, &pois, 0.25, EngineKind::EdgeGraph, &BuildConfig::default(),
         ).unwrap();
         let se = oracle.oracle();
-        let loaded = SeOracle::load_bytes(&se.save_bytes()).unwrap();
+        let loaded = SeOracle::load_bytes(&se.save_bytes_compact(false)).unwrap();
         for s in 0..se.n_sites() {
             for t in 0..se.n_sites() {
                 prop_assert_eq!(loaded.distance(s, t), se.distance(s, t));

@@ -150,7 +150,7 @@ fn eight_threads_observe_single_threaded_answers() {
 /// the image itself) bit for bit, through both the sequential and the
 /// parallel batch drivers.
 fn assert_served_equals_built(oracle: SeOracle) {
-    let bytes = oracle.save_bytes();
+    let bytes = oracle.save_bytes_compact(false);
     let loaded = SeOracle::load_bytes(&bytes).expect("reload");
     let built = QueryHandle::new(oracle);
     let served = QueryHandle::new(loaded);
@@ -166,7 +166,11 @@ fn assert_served_equals_built(oracle: SeOracle) {
     }
     // The image is canonical: re-serializing the served oracle reproduces
     // the bytes the built one wrote.
-    assert_eq!(bytes, served.oracle().save_bytes(), "image not canonical after reload");
+    assert_eq!(
+        bytes,
+        served.oracle().save_bytes_compact(false),
+        "image not canonical after reload"
+    );
 }
 
 #[test]

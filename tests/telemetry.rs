@@ -22,10 +22,12 @@ use terrain_oracle::prelude::EngineKind;
 #[test]
 fn tracing_on_or_off_builds_byte_identical_oracles() {
     assert!(!trace::is_enabled(), "trace sink must start disabled");
-    let quiet = build_p2p(47, 18, 0.25, EngineKind::EdgeGraph).into_oracle().save_bytes();
+    let quiet =
+        build_p2p(47, 18, 0.25, EngineKind::EdgeGraph).into_oracle().save_bytes_compact(false);
 
     trace::enable();
-    let traced = build_p2p(47, 18, 0.25, EngineKind::EdgeGraph).into_oracle().save_bytes();
+    let traced =
+        build_p2p(47, 18, 0.25, EngineKind::EdgeGraph).into_oracle().save_bytes_compact(false);
     let events = trace::take_events();
     assert!(!trace::is_enabled());
 
