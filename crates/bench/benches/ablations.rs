@@ -20,7 +20,7 @@ fn workload() -> Workload {
     Workload::preset(Preset::SfSmall, 0.15, 40)
 }
 
-/// O(h) three-phase query vs O(h²) Cartesian scan (§3.4).
+/// O(h) bottom-up candidate scan vs O(h²) Cartesian scan (§3.4).
 fn ablation_query(c: &mut Criterion) {
     let w = workload();
     let oracle =
@@ -75,8 +75,9 @@ fn ablation_hash(c: &mut Criterion) {
     let entries: Vec<(u64, f64)> = oracle.oracle().pair_entries().collect();
     let fks = PerfectMap::build(entries.clone(), 99);
     let std_map: HashMap<u64, f64> = entries.iter().copied().collect();
-    // Probe mix: half hits, half misses (queries probe absent pairs while
-    // scanning the root paths).
+    // Probe mix: half hits, half misses, close to the query kernel's own
+    // mix: each pair's last probe is its one hit, at about 1.9 probes per
+    // pair (`oracle.probes_per_pair` on perfbench's `local` workload).
     let probes: Vec<u64> = entries
         .iter()
         .map(|&(k, _)| k)

@@ -455,6 +455,26 @@ impl SeOracle {
     /// feeds to its registry from counts alone (no clocks on the query
     /// path).
     ///
+    /// Each pair probes Lemma 3's candidate node pairs over the two
+    /// sites' layer arrays `a` and `b` (`a[i]` is the first site's
+    /// ancestor at layer `i`, if the compressed tree has one there), in
+    /// one bottom-up pass. At each layer `i` from `h` down to 0 it probes
+    ///
+    /// 1. the same-layer pair `⟨a[i], b[i]⟩`, skipped when both sides are
+    ///    the same node above the leaf layer (a node with a positive
+    ///    radius is never well-separated from itself, so `⟨O, O⟩` is never
+    ///    stored);
+    /// 2. `⟨a[k], b[i]⟩` for `k` from `i − 1` down to
+    ///    `Layer(parent(b[i]))`;
+    /// 3. `⟨a[i], b[k]⟩` for `k` from `i − 1` down to
+    ///    `Layer(parent(a[i]))`.
+    ///
+    /// The first stored candidate is the answer. A built oracle stores
+    /// exactly one (Theorem 1), so the order changes only the probe
+    /// count, and the first probe, the leaf pair `⟨a[h], b[h]⟩`, answers
+    /// most pairs. On a hostile image that stores two candidates, the
+    /// first in this order wins, on every path and thread count.
+    ///
     /// One pair spends a large share of its ~hundreds of nanoseconds
     /// materializing the two layer arrays (a root-path walk per endpoint).
     /// The batch amortizes that: small batches reuse a two-slot scratch
@@ -526,52 +546,45 @@ impl SeOracle {
         Ok((out, stats))
     }
 
-    /// The `O(h)` probe sequence of §3.4 over two sites' layer arrays,
-    /// counting probes into `probes`. `None` means no stored node pair
-    /// covers the sites: the unique-node-pair-match property (Theorem 1)
-    /// fails, which a built oracle never does but a checksum-valid yet
-    /// hostile persisted image can.
+    /// The `O(h)` probe sequence of §3.4 over two sites' layer arrays, in
+    /// the order [`Self::distance_many_checked_with_stats`] documents,
+    /// counting probes into `probes`. `None` means no candidate is stored:
+    /// Theorem 1 fails, which a built oracle never does but a
+    /// checksum-valid yet hostile persisted image can.
     fn probe(&self, a: &[u32], b: &[u32], probes: &mut u64) -> Option<f64> {
         let h = self.ctree.h as usize;
         let nodes = &self.ctree.nodes;
+        let root = self.ctree.root;
+        let mut get = |x: u32, y: u32| {
+            *probes += 1;
+            self.pairs.get(pair_key(x, y)).copied()
+        };
+        // Lemma 3: a stored pair's higher node sits no higher than the
+        // lower node's parent.
+        let parent_layer = |x: u32| nodes[nodes[x as usize].parent as usize].layer as usize;
 
-        // Step 1: same-layer pairs.
-        for i in 0..=h {
-            if a[i] != NO_NODE && b[i] != NO_NODE {
-                *probes += 1;
-                if let Some(&d) = self.pairs.get(pair_key(a[i], b[i])) {
+        for i in (0..=h).rev() {
+            let (ai, bi) = (a[i], b[i]);
+            if ai != NO_NODE && bi != NO_NODE && (ai != bi || i == h) {
+                if let Some(d) = get(ai, bi) {
                     return Some(d);
                 }
             }
-        }
-        // Step 2: first-higher-layer pairs ⟨a[k], b[i]⟩ with k < i. By
-        // Lemma 3 it suffices to scan k from Layer(parent(b[i])) to i − 1.
-        for i in 0..=h {
-            if b[i] == NO_NODE || b[i] == self.ctree.root {
-                continue;
-            }
-            let j = nodes[nodes[b[i] as usize].parent as usize].layer as usize;
-            for &ak in &a[j..i] {
-                if ak != NO_NODE {
-                    *probes += 1;
-                    if let Some(&d) = self.pairs.get(pair_key(ak, b[i])) {
-                        return Some(d);
+            if bi != NO_NODE && bi != root {
+                for k in (parent_layer(bi)..i).rev() {
+                    if a[k] != NO_NODE {
+                        if let Some(d) = get(a[k], bi) {
+                            return Some(d);
+                        }
                     }
                 }
             }
-        }
-        // Step 3: first-lower-layer pairs ⟨a[i], b[k]⟩ with k < i
-        // (symmetric).
-        for i in 0..=h {
-            if a[i] == NO_NODE || a[i] == self.ctree.root {
-                continue;
-            }
-            let j = nodes[nodes[a[i] as usize].parent as usize].layer as usize;
-            for &bk in &b[j..i] {
-                if bk != NO_NODE {
-                    *probes += 1;
-                    if let Some(&d) = self.pairs.get(pair_key(a[i], bk)) {
-                        return Some(d);
+            if ai != NO_NODE && ai != root {
+                for k in (parent_layer(ai)..i).rev() {
+                    if b[k] != NO_NODE {
+                        if let Some(d) = get(ai, b[k]) {
+                            return Some(d);
+                        }
                     }
                 }
             }
@@ -915,6 +928,90 @@ mod tests {
                 msg.contains("out of range") && msg.contains("distance_many_checked_with_stats"),
                 "panic message not actionable: {msg}"
             );
+        }
+    }
+
+    /// The stored pair covering sites `(s, t)`, found by scanning the
+    /// whole product of their root paths.
+    fn covering_pair(o: &SeOracle, s: usize, t: usize) -> (u32, u32) {
+        let path = |x: usize| o.ctree.path_to_root(o.ctree.leaf_of_site[x]);
+        let (ps, pt) = (path(s), path(t));
+        let mut found = ps.iter().flat_map(|&x| pt.iter().map(move |&y| (x, y)));
+        found.find(|&(x, y)| o.pairs.get(pair_key(x, y)).is_some()).expect("built oracle")
+    }
+
+    /// `o` with its pair entries edited by `edit`, rebuilt as a loaded
+    /// image would be.
+    fn with_entries(o: &SeOracle, edit: impl FnOnce(&mut Vec<(u64, f64)>)) -> SeOracle {
+        let mut entries: Vec<(u64, f64)> = o.pair_entries().collect();
+        edit(&mut entries);
+        SeOracle::from_parts(o.eps, o.ctree.clone(), entries, 7)
+    }
+
+    fn all_pairs(n: usize) -> Vec<(u32, u32)> {
+        (0..n as u32).flat_map(|s| (0..n as u32).map(move |t| (s, t))).collect()
+    }
+
+    /// A built oracle whose site pairs are covered at the leaf layer, by
+    /// same-layer pairs above it, and by cross-layer pairs.
+    fn mixed_cover_oracle() -> (SeOracle, usize) {
+        let sp = space(30, 3);
+        (SeOracle::build(&sp, 0.5, &BuildConfig::default()).unwrap(), sp.n_sites())
+    }
+
+    #[test]
+    fn missing_covering_pair_is_the_same_error_on_every_path() {
+        let (built, n) = mixed_cover_oracle();
+        let leaf = |x: usize| built.ctree.leaf_of_site[x];
+        // A pair answered by its leaf pair: dropping that entry uncovers
+        // this pair and no other.
+        let (s, t) = (0..n)
+            .flat_map(|s| (0..n).map(move |t| (s, t)))
+            .find(|&(s, t)| s != t && covering_pair(&built, s, t) == (leaf(s), leaf(t)))
+            .expect("some pair is covered at the leaf layer");
+        let key = pair_key(leaf(s), leaf(t));
+        let hostile = with_entries(&built, |e| e.retain(|&(k, _)| k != key));
+        let err = Err(QueryError::NoCoveringPair { s, t });
+
+        let pair = [(s as u32, t as u32)];
+        assert_eq!(hostile.distance_many_checked_with_stats(&pair), err, "scratch path");
+        let all = all_pairs(n);
+        assert_eq!(hostile.distance_many_checked_with_stats(&all), err, "dense path");
+        for threads in [1, 2] {
+            let panic = std::panic::catch_unwind(|| hostile.distance_many_par(&all, threads))
+                .expect_err("an uncovered pair panics");
+            let msg = panic.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains(&format!("sites ({s}, {t})")), "{threads} threads: {msg}");
+        }
+    }
+
+    #[test]
+    fn extra_leaf_pair_wins_on_every_path() {
+        let (built, n) = mixed_cover_oracle();
+        let h = built.ctree.h;
+        let layer = |x: u32| built.ctree.nodes[x as usize].layer;
+        // A pair covered by a same-layer pair above the leaves: the
+        // injected leaf pair precedes it in the kernel's bottom-up order,
+        // though a root-first scan would meet the genuine pair first.
+        let (s, t) = (0..n)
+            .flat_map(|s| (0..n).map(move |t| (s, t)))
+            .find(|&(s, t)| {
+                let (x, y) = covering_pair(&built, s, t);
+                layer(x) == layer(y) && layer(x) < h
+            })
+            .expect("some pair is covered above the leaf layer");
+        let leaf = |x: usize| built.ctree.leaf_of_site[x];
+        let injected = built.distance(s, t) + 1.0;
+        let hostile = with_entries(&built, |e| e.push((pair_key(leaf(s), leaf(t)), injected)));
+
+        let all = all_pairs(n);
+        let at = s * n + t;
+        let pair = [(s as u32, t as u32)];
+        assert_eq!(hostile.distance_many_checked_with_stats(&pair).unwrap().0, [injected]);
+        assert_eq!(hostile.distance_many_checked_with_stats(&all).unwrap().0[at], injected);
+        assert_eq!(hostile.distance(s, t), injected);
+        for threads in [1, 2] {
+            assert_eq!(hostile.distance_many_par(&all, threads)[at], injected);
         }
     }
 

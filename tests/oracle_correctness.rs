@@ -5,8 +5,10 @@
 
 mod common;
 
-use common::{fractal_mesh, fractal_mesh_arc};
+use common::{fractal_mesh, fractal_mesh_arc, mesh_with_pois};
+use std::collections::HashSet;
 use terrain_oracle::oracle::{BuildConfig, ConstructionMethod, SelectionStrategy};
+use terrain_oracle::phash::pair_key;
 use terrain_oracle::prelude::*;
 
 /// Exhaustively checks `|d̃ − d| ≤ ε·d` over every POI pair.
@@ -144,6 +146,59 @@ fn efficient_query_equals_naive_query_everywhere() {
                 naive_stats.probes
             );
         }
+    }
+}
+
+/// Theorem 1 against the kernel's probe order, for every ordered site
+/// pair: exactly one stored node pair lies in the product of the two
+/// sites' root paths, and the kernel answers bit-identically to
+/// `distance_naive`, which scans that whole product. Summed over all
+/// pairs the kernel must also probe less than the naive scan.
+fn assert_unique_match_and_kernel_answers(se: &SeOracle, label: &str) {
+    let stored: HashSet<u64> = se.pair_entries().map(|(k, _)| k).collect();
+    let tree = se.tree();
+    let paths: Vec<Vec<u32>> =
+        tree.leaf_of_site.iter().map(|&leaf| tree.path_to_root(leaf)).collect();
+    let (mut kernel_probes, mut naive_probes) = (0u64, 0u64);
+    for (s, ps) in paths.iter().enumerate() {
+        for (t, pt) in paths.iter().enumerate() {
+            let covering = ps
+                .iter()
+                .flat_map(|&x| pt.iter().map(move |&y| pair_key(x, y)))
+                .filter(|k| stored.contains(k))
+                .count();
+            assert_eq!(covering, 1, "{label}: ({s},{t}) has {covering} covering pairs");
+            let (kernel, stats) =
+                se.distance_many_checked_with_stats(&[(s as u32, t as u32)]).unwrap();
+            let (naive, naive_stats) = se.distance_naive(s, t);
+            assert_eq!(kernel[0].to_bits(), naive.to_bits(), "{label}: ({s},{t})");
+            kernel_probes += stats.probes;
+            naive_probes += naive_stats.probes;
+        }
+    }
+    assert!(
+        kernel_probes < naive_probes,
+        "{label}: kernel {kernel_probes} probes vs naive {naive_probes}"
+    );
+}
+
+#[test]
+fn unique_pair_match_and_probe_order_hold_at_scale() {
+    // `efficient_query_equals_naive_query_everywhere` (n = 20) is answered
+    // entirely by first probes, so the order past the first probe is
+    // exercised only by larger builds like these and by the v1 fixtures.
+    for n in [60, 200] {
+        let (mesh, pois) = mesh_with_pois(5, 0.6, 151, n);
+        let oracle =
+            P2POracle::build(&mesh, &pois, 0.25, EngineKind::Exact, &BuildConfig::default())
+                .unwrap();
+        assert_unique_match_and_kernel_answers(oracle.oracle(), &format!("exact n={n}"));
+    }
+    for (label, image) in [
+        ("oracle-l4.seor", &include_bytes!("fixtures/v1/oracle-l4.seor")[..]),
+        ("oracle-l5.seor", &include_bytes!("fixtures/v1/oracle-l5.seor")[..]),
+    ] {
+        assert_unique_match_and_kernel_answers(&SeOracle::load_bytes(image).unwrap(), label);
     }
 }
 
