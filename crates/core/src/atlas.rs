@@ -486,7 +486,7 @@ impl Atlas {
     /// a time"). Opening validates the *entire* image once — frame
     /// checksum, every tile segment, every membership — then drops the
     /// decoded tiles again, so a corrupt image fails here and never inside
-    /// a query. Works for v1 and v2 images alike; answers are
+    /// a query. Works for `SEAT` v1 and v2 images alike; answers are
     /// bit-identical to a fully resident [`Atlas::load_from`] of the same
     /// bytes, for any budget and any eviction schedule (see
     /// `tests/out_of_core.rs`).

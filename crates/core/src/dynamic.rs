@@ -161,7 +161,7 @@ pub struct DynamicOracle<'s> {
     /// `(overlay slot, ctree node)` → exact SSAD distance to the node
     /// center; the per-insertion WSPD patch.
     patch: BTreeMap<u64, f64>,
-    /// `pair_key(slot_min, slot_max)` → exact overlay-overlay distance.
+    /// `pair_key(slot_a, slot_b)` → exact overlay-overlay distance.
     overlay_pairs: BTreeMap<u64, f64>,
     insert_ssad_runs: u64,
 }
@@ -380,7 +380,7 @@ impl<'s> DynamicOracle<'s> {
             (ActiveRef::Overlay(o), ActiveRef::Base(s))
             | (ActiveRef::Base(s), ActiveRef::Overlay(o)) => self.patch_distance(o as u32, s),
             (ActiveRef::Overlay(x), ActiveRef::Overlay(y)) => {
-                let k = pair_key((x as u32).min(y as u32), (x as u32).max(y as u32));
+                let k = pair_key(x as u32, y as u32);
                 // lint: allow(panic, "invariant: overlay pairs are recorded at insertion; the patch-cover assertion guards the other path")
                 *self.overlay_pairs.get(&k).expect("overlay pair recorded at insertion")
             }

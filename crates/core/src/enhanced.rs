@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 
 /// The enhanced-edge index.
 pub struct EnhancedEdges {
-    /// `pair_key(min_node, max_node)` → center distance, over original-tree
+    /// `pair_key(node_a, node_b)` → center distance, over original-tree
     /// node ids. (Enhanced pairs are symmetric: same layer, same radius.)
     map: PerfectMap<f64>,
     /// Bounded SSAD requests issued (one per worked node). A caching space
@@ -122,7 +122,7 @@ impl EnhancedEdges {
     /// Looks up the distance of the enhanced edge between two original-tree
     /// nodes.
     pub fn get(&self, node_a: u32, node_b: u32) -> Option<f64> {
-        self.map.get(pair_key(node_a.min(node_b), node_a.max(node_b))).copied()
+        self.map.get(pair_key(node_a, node_b)).copied()
     }
 
     /// Heap bytes of the index (construction-time only; dropped after the

@@ -105,9 +105,10 @@ pub struct BuildStats {
     pub cache_misses: u64,
     /// Worker threads used (the resolved value of [`BuildConfig::threads`]).
     pub workers: usize,
-    /// Node pairs examined by the WSPD splitting (Theorem 2).
+    /// Unordered node pairs examined by the WSPD splitting (Theorem 2).
     pub considered_pairs: u64,
-    /// Pairs stored in the oracle.
+    /// Unordered pairs stored in the oracle (each `{O, O'}` once; a
+    /// self pair `⟨O, O⟩` counts once).
     pub stored_pairs: usize,
     /// Original partition-tree node count.
     pub org_nodes: usize,
@@ -282,7 +283,8 @@ pub struct SeOracle {
     eps: f64,
     ctree: CompressedTree,
     /// `pair_key(node_a, node_b)` → center distance, over compressed-tree
-    /// node ids; the node pair set of §3.3 under perfect hashing.
+    /// node ids; the node pair set of §3.3 under perfect hashing, each
+    /// unordered pair stored once under its canonical key.
     pairs: PerfectMap<f64>,
     stats: BuildStats,
 }
@@ -402,7 +404,8 @@ impl SeOracle {
 
     /// Iterates the stored node pairs as `(pair key, distance)` — the
     /// oracle's entire queryable payload besides the tree (used by
-    /// [`crate::persist`]).
+    /// [`crate::persist`]). Keys are canonical [`phash::pair_key`]s: each
+    /// unordered pair appears once, its smaller node id in the high half.
     pub fn pair_entries(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
         self.pairs.iter().map(|(k, &v)| (k, v))
     }
@@ -469,11 +472,15 @@ impl SeOracle {
     /// 3. `⟨a[i], b[k]⟩` for `k` from `i − 1` down to
     ///    `Layer(parent(a[i]))`.
     ///
+    /// Each candidate is probed under its canonical key
+    /// ([`phash::pair_key`]), because every unordered pair is stored once.
     /// The first stored candidate is the answer. A built oracle stores
-    /// exactly one (Theorem 1), so the order changes only the probe
-    /// count, and the first probe, the leaf pair `⟨a[h], b[h]⟩`, answers
-    /// most pairs. On a hostile image that stores two candidates, the
-    /// first in this order wins, on every path and thread count.
+    /// exactly one (Theorem 1), so the order changes only the probe count,
+    /// `(s, t)` and `(t, s)` meet the same entry and answer
+    /// bit-identically, and the first probe, the leaf pair
+    /// `⟨a[h], b[h]⟩`, answers most pairs. On a hostile image that stores
+    /// two candidates, the first in this order wins, on every path and
+    /// thread count.
     ///
     /// One pair spends a large share of its ~hundreds of nanoseconds
     /// materializing the two layer arrays (a root-path walk per endpoint).
@@ -780,11 +787,18 @@ mod tests {
 
     #[test]
     fn symmetric_answers() {
+        // The Naive method resolves each pair with its own SSAD, whose
+        // result depends on the source; storing each unordered pair once
+        // makes its answers symmetric too.
         let sp = space(15, 7);
-        let oracle = SeOracle::build(&sp, 0.2, &BuildConfig::default()).unwrap();
-        for s in 0..15 {
-            for t in 0..15 {
-                assert_eq!(oracle.distance(s, t), oracle.distance(t, s), "({s},{t})");
+        for method in [ConstructionMethod::Efficient, ConstructionMethod::Naive] {
+            let cfg = BuildConfig { method, ..Default::default() };
+            let oracle = SeOracle::build(&sp, 0.2, &cfg).unwrap();
+            for s in 0..15 {
+                for t in 0..15 {
+                    let (st, ts) = (oracle.distance(s, t), oracle.distance(t, s));
+                    assert_eq!(st.to_bits(), ts.to_bits(), "{method:?} ({s},{t})");
+                }
             }
         }
     }
@@ -840,16 +854,16 @@ mod tests {
     fn pair_count_bounded_and_subquadratic_onset() {
         // Theorem 2 bounds the pair set by O(n·h/ε^{2β}) — but the packing
         // constant is ≈ (1/ε)^{2β} ≈ 10⁴ at ε = 0.25, so below a few
-        // thousand POIs the WSPD legitimately stores (up to) all n²
-        // ordered leaf pairs; the linear regime is an asymptotic statement
-        // (the paper's n starts at 4 000). What must hold at *every*
-        // scale: never more than n² ordered pairs, and the growth rate
-        // already dipping below quadratic as n rises.
+        // thousand POIs the WSPD legitimately stores (up to) all n(n+1)/2
+        // unordered leaf pairs; the linear regime is an asymptotic
+        // statement (the paper's n starts at 4 000). What must hold at
+        // *every* scale: never more than n(n+1)/2 unordered pairs, and the
+        // growth rate already dipping below quadratic as n rises.
         let cfg = BuildConfig::default();
         let o40 = SeOracle::build(&space(40, 15), 0.25, &cfg).unwrap();
         let o80 = SeOracle::build(&space(80, 15), 0.25, &cfg).unwrap();
-        assert!(o40.n_pairs() <= 40 * 40, "{} pairs for 40 sites", o40.n_pairs());
-        assert!(o80.n_pairs() <= 80 * 80, "{} pairs for 80 sites", o80.n_pairs());
+        assert!(o40.n_pairs() <= 40 * 41 / 2, "{} pairs for 40 sites", o40.n_pairs());
+        assert!(o80.n_pairs() <= 80 * 81 / 2, "{} pairs for 80 sites", o80.n_pairs());
         let pair_ratio = o80.n_pairs() as f64 / o40.n_pairs() as f64;
         assert!(
             pair_ratio < 3.9,
@@ -964,7 +978,8 @@ mod tests {
         let (built, n) = mixed_cover_oracle();
         let leaf = |x: usize| built.ctree.leaf_of_site[x];
         // A pair answered by its leaf pair: dropping that entry uncovers
-        // this pair and no other.
+        // this pair and its mirror. The search meets `s < t` first, so
+        // `(s, t)` is also the first uncovered pair of `all_pairs`.
         let (s, t) = (0..n)
             .flat_map(|s| (0..n).map(move |t| (s, t)))
             .find(|&(s, t)| s != t && covering_pair(&built, s, t) == (leaf(s), leaf(t)))
@@ -975,6 +990,11 @@ mod tests {
 
         let pair = [(s as u32, t as u32)];
         assert_eq!(hostile.distance_many_checked_with_stats(&pair), err, "scratch path");
+        assert_eq!(
+            hostile.distance_many_checked_with_stats(&[(t as u32, s as u32)]),
+            Err(QueryError::NoCoveringPair { s: t, t: s }),
+            "mirror"
+        );
         let all = all_pairs(n);
         assert_eq!(hostile.distance_many_checked_with_stats(&all), err, "dense path");
         for threads in [1, 2] {
@@ -1010,6 +1030,7 @@ mod tests {
         assert_eq!(hostile.distance_many_checked_with_stats(&pair).unwrap().0, [injected]);
         assert_eq!(hostile.distance_many_checked_with_stats(&all).unwrap().0[at], injected);
         assert_eq!(hostile.distance(s, t), injected);
+        assert_eq!(hostile.distance(t, s), injected, "the mirror probes the same key");
         for threads in [1, 2] {
             assert_eq!(hostile.distance_many_par(&all, threads)[at], injected);
         }

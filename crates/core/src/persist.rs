@@ -18,9 +18,10 @@
 //! supported version) everywhere, and future format revisions bump one
 //! constant per kind.
 //!
-//! This build writes only version 2 (see *Compact images* below). The two
-//! version-1 layouts that follow are **read, no longer written**: every v1
-//! image on disk keeps loading.
+//! This build writes only `SEOR` version 3 and `SEAT` version 2 (see
+//! *Compact images* below). The two version-1 layouts that follow, and
+//! `SEOR` version 2, are **read, no longer written**: every v1 and v2 image
+//! on disk keeps loading.
 //!
 //! Monolithic v1 layout (all integers little-endian):
 //!
@@ -60,21 +61,21 @@
 //! invariant (nested images, membership tables, portal ids, routability)
 //! before returning.
 //!
-//! # Compact (`v2`) images
+//! # Compact images: `SEOR` v3, `SEAT` v2
 //!
-//! [`SeOracle::save_to_compact`] / [`Atlas::save_to_compact`] write format
-//! **version 2**, the only format this build writes. It replaces the
-//! fixed-width arrays with LEB128 varints and routes every `f64` table
-//! (node radii, pair distances, portal tables) through the bounded-error
-//! quantizer of [`crate::quant`] (lossless raw mode when `compress` is
-//! off, so uncompressed v2 answers stay bit-identical to the oracle that
-//! wrote them; quantized mode bounds every value's relative decode error by
-//! [`crate::quant::EPS_QUANT`]). Both loaders accept v1 *and* v2 via the
-//! version word in the frame — old images keep loading unchanged — and a
-//! loaded v2 image re-serializes byte-identically under the same
-//! `compress` setting.
+//! [`SeOracle::save_to_compact`] writes `SEOR` **version 3** and
+//! [`Atlas::save_to_compact`] writes `SEAT` **version 2**, the only
+//! formats this build writes. They replace the fixed-width arrays with
+//! LEB128 varints and route every `f64` table (node radii, pair distances,
+//! portal tables) through the bounded-error quantizer of [`crate::quant`]
+//! (lossless raw mode when `compress` is off, so uncompressed images answer
+//! bit-identically to the oracle that wrote them; quantized mode bounds
+//! every value's relative decode error by [`crate::quant::EPS_QUANT`]).
+//! Both loaders accept every earlier version via the version word in the
+//! frame — `SEOR` 1..=3, `SEAT` 1..=2 — and a loaded current image
+//! re-serializes byte-identically under the same `compress` setting.
 //!
-//! Monolithic v2 payload (struct-of-arrays; `qtable` is the mode-tagged
+//! Monolithic v3 payload (struct-of-arrays; `qtable` is the mode-tagged
 //! table of `crate::quant`, `varint` is LEB128):
 //!
 //! ```text
@@ -86,7 +87,23 @@
 //!                   absolute), then distances qtable in the same order
 //! ```
 //!
-//! Atlas v2 payload:
+//! Each key is `phash::pair_key(a, b)`: node ids `a ≤ b`, `a` in the high
+//! half, one key per unordered node pair. A v3 load rejects any key with
+//! `a > b` as corrupt.
+//!
+//! `SEOR` v2 is the same layout, but its keys are ordered and every pair
+//! `⟨a, b⟩` is also stored as its mirror `⟨b, a⟩`, as in v1. A v1 or v2
+//! load canonicalises the entries: a key and its mirror merge into
+//! `(min, max)` with the value stored under `(min, max)`, a lone mirror is
+//! re-keyed, and two equal stored keys are corrupt. So are keys that pair
+//! distinct nodes without a single mirror: no v1 or v2 writer produced
+//! them, and they are what a v3 image looks like under a damaged version
+//! word. Re-encoded, a legacy image is a v3 image with about half the
+//! pairs.
+//!
+//! Atlas v2 payload (its tiles are nested `SEOR` v3 images, so a reader
+//! that predates v3 refuses the atlas at its first tile rather than
+//! missing every mirrored probe):
 //!
 //! ```text
 //!   eps f64
@@ -108,6 +125,7 @@ use crate::ctree::{CNode, CompressedTree};
 use crate::oracle::{QueryError, SeOracle};
 use crate::quant::{read_qtable, read_varint, write_qtable, write_varint};
 use crate::tree::NO_NODE;
+use phash::{pair_key, unpair_key};
 use std::io::{self, Read, Write};
 use std::ops::RangeInclusive;
 
@@ -119,10 +137,13 @@ const MAGIC: [u8; 4] = ORACLE_MAGIC;
 /// Format version of classic (fixed-width, lossless) monolithic `SEOR`
 /// oracle images: read, no longer written.
 pub const ORACLE_VERSION: u32 = 1;
-/// Format version of compact monolithic `SEOR` images (varint + qtable
-/// encoding; see the module docs) — what [`SeOracle::save_to_compact`]
-/// writes. Loaders accept both versions.
-pub const ORACLE_VERSION_COMPACT: u32 = 2;
+/// Format version of compact monolithic `SEOR` images — what
+/// [`SeOracle::save_to_compact`] writes: the v2 varint + qtable layout with
+/// each unordered node pair stored once under its canonical key (see the
+/// module docs). Loaders accept versions 1 through this one; version 2, the
+/// same layout with every pair also stored mirrored, is read, no longer
+/// written.
+pub const ORACLE_VERSION_COMPACT: u32 = 3;
 /// Magic of atlas (`SEAT`) images (see [`ORACLE_MAGIC`]).
 pub const ATLAS_MAGIC: [u8; 4] = *b"SEAT";
 /// Format version of classic atlas (`SEAT`) images: read, no longer
@@ -362,10 +383,11 @@ impl<'a> Cursor<'a> {
 }
 
 impl SeOracle {
-    /// Serializes the oracle in the compact v2 format (varints + qtables;
-    /// see the module docs). With `compress` off every table is written in
-    /// lossless raw mode — the loaded oracle answers bit-identically to
-    /// this one. With `compress` on, tables are quantized with a per-table
+    /// Serializes the oracle in the compact v3 format (varints + qtables,
+    /// one canonical key per unordered node pair; see the module docs).
+    /// With `compress` off every table is written in lossless raw mode —
+    /// the loaded oracle answers bit-identically to this one. With
+    /// `compress` on, tables are quantized with a per-table
     /// scale bounding every value's relative decode error by
     /// [`crate::quant::EPS_QUANT`], so answers stay within
     /// `(1+ε)(1+EPS_QUANT)` of the exact metric.
@@ -378,7 +400,7 @@ impl SeOracle {
         framed(MAGIC, ORACLE_VERSION_COMPACT, self.payload_compact(compress))
     }
 
-    /// The v2 payload: struct-of-arrays varint streams plus qtables, with
+    /// The v3 payload: struct-of-arrays varint streams plus qtables, with
     /// pair keys sorted ascending and delta-encoded (sorting makes the
     /// encoding canonical — a decode/re-encode round trip is
     /// byte-identical regardless of hash iteration order).
@@ -418,17 +440,18 @@ impl SeOracle {
         p
     }
 
-    /// Deserializes a v2 oracle image written by [`Self::save_to_compact`]
-    /// or a v1 image from an earlier build, validating the checksum and every
-    /// structural invariant (tree shape, layer monotonicity, leaf mapping)
-    /// before returning.
+    /// Deserializes a v3 oracle image written by [`Self::save_to_compact`]
+    /// or a v1 or v2 image from an earlier build, validating the checksum and
+    /// every structural invariant (tree shape, layer monotonicity, leaf
+    /// mapping, canonical pair keys) before returning. A v1 or v2 image's
+    /// mirrored pairs are canonicalised as the module docs state.
     pub fn load_from<R: Read>(r: &mut R) -> Result<Self, PersistError> {
         let (version, payload) =
             read_framed(r, MAGIC, ORACLE_VERSION..=ORACLE_VERSION_COMPACT, IMAGE_FRAME_CAP)?;
-        if version == ORACLE_VERSION_COMPACT {
-            Self::parse_payload_compact(&payload)
-        } else {
+        if version == ORACLE_VERSION {
             Self::parse_payload_v1(&payload)
+        } else {
+            Self::parse_payload_compact(&payload, version == ORACLE_VERSION_COMPACT)
         }
     }
 
@@ -508,16 +531,18 @@ impl SeOracle {
             nodes,
             leaf_of_site,
             entries,
-            keys_known_distinct: false,
+            ordered_keys: true,
         })
     }
 
-    /// Parses the v2 payload (see the module docs). Varint-decoded indices
-    /// are range-checked as they stream in; the two qtables carry their
-    /// own mode/scale validation; pair keys arrive as ascending deltas, so
-    /// distinctness is established during decoding (a zero delta is the
-    /// corrupt-duplicate case) instead of by a sort afterwards.
-    fn parse_payload_compact(payload: &[u8]) -> Result<Self, PersistError> {
+    /// Parses the v2 or v3 payload (see the module docs). Varint-decoded
+    /// indices are range-checked as they stream in; the two qtables carry
+    /// their own mode/scale validation; pair keys arrive as ascending
+    /// deltas, so distinctness is established during decoding (a zero
+    /// delta is the corrupt-duplicate case) instead of by a sort afterwards.
+    /// A `canonical` (v3) payload must key every pair as `(a, b)` with
+    /// `a ≤ b`; a v2 payload's ordered keys are canonicalised afterwards.
+    fn parse_payload_compact(payload: &[u8], canonical: bool) -> Result<Self, PersistError> {
         let mut c = Cursor { buf: payload, at: 0 };
         let eps = c.f64()?;
         if !(eps > 0.0 && eps.is_finite()) {
@@ -532,7 +557,7 @@ impl SeOracle {
             return Err(PersistError::Corrupt("implausible tree height"));
         }
         let root = c.u32()?;
-        // A v2 node costs at least 4 payload bytes (three 1-byte varints
+        // A compact node costs at least 4 payload bytes (three 1-byte varints
         // plus ≥ 1 radii-table byte); bound the count before reserving.
         let n_nodes = c.u32()? as usize;
         if n_nodes > c.remaining() / 4 {
@@ -585,7 +610,7 @@ impl SeOracle {
             }
             leaf_of_site.push(v as u32);
         }
-        // A v2 pair costs at least 2 bytes (1-byte key delta + ≥ 1
+        // A compact pair costs at least 2 bytes (1-byte key delta + ≥ 1
         // distance-table byte).
         let n_pairs = c.u64()? as usize;
         if n_pairs > c.remaining() / 2 {
@@ -603,6 +628,12 @@ impl SeOracle {
                 }
                 prev.checked_add(d).ok_or(PersistError::Corrupt("pair key overflow"))?
             };
+            if canonical {
+                let (a, b) = unpair_key(k);
+                if a > b {
+                    return Err(PersistError::Corrupt("node-pair key not canonical"));
+                }
+            }
             keys.push(k);
             prev = k;
         }
@@ -620,7 +651,7 @@ impl SeOracle {
             nodes,
             leaf_of_site,
             entries,
-            keys_known_distinct: true,
+            ordered_keys: !canonical,
         })
     }
 
@@ -641,15 +672,17 @@ struct OracleParts {
     nodes: Vec<CNode>,
     leaf_of_site: Vec<u32>,
     entries: Vec<(u64, f64)>,
-    /// v2's delta decoding already proves keys strictly ascending, so the
-    /// duplicate-key sort can be skipped.
-    keys_known_distinct: bool,
+    /// v1 and v2 images key pairs in order, each stored with its mirror, so
+    /// their entries are canonicalised ([`canonicalise_ordered`]). A v3
+    /// payload's keys were already checked canonical and strictly
+    /// ascending while decoding.
+    ordered_keys: bool,
 }
 
 /// Rebuilds children lists, validates every tree invariant (root, parent
 /// layering, leaf mapping, key distinctness), and constructs the oracle.
 fn assemble_oracle(parts: OracleParts) -> Result<SeOracle, PersistError> {
-    let OracleParts { eps, r0, h, root, mut nodes, leaf_of_site, entries, keys_known_distinct } =
+    let OracleParts { eps, r0, h, root, mut nodes, leaf_of_site, mut entries, ordered_keys } =
         parts;
     let n_nodes = nodes.len();
     if root as usize >= n_nodes {
@@ -679,18 +712,51 @@ fn assemble_oracle(parts: OracleParts) -> Result<SeOracle, PersistError> {
             return Err(PersistError::Corrupt("leaf_of_site mapping broken"));
         }
     }
-    // The perfect-hash rebuild requires distinct keys (duplicates are a
-    // construction-time panic, which bytes from disk must never reach).
-    if !keys_known_distinct {
-        let mut keys: Vec<u64> = entries.iter().map(|&(k, _)| k).collect();
-        keys.sort_unstable();
-        if keys.windows(2).any(|w| w[0] == w[1]) {
-            return Err(PersistError::Corrupt("duplicate node-pair key"));
-        }
+    if ordered_keys {
+        canonicalise_ordered(&mut entries)?;
     }
 
     let ctree = CompressedTree { nodes, root, r0, h, leaf_of_site };
     Ok(SeOracle::from_parts(eps, ctree, entries, REBUILD_SEED))
+}
+
+/// Re-keys a v1 or v2 image's ordered entries canonically, in place, with
+/// one sort:
+///
+/// - a key `(b, a)` and its mirror `(a, b)`, `a < b`, merge into
+///   `(a, b)` with the value stored under `(a, b)` (a Naive-method build
+///   could store mirrors that differ in the last bits);
+/// - a lone `(b, a)` is re-keyed to `(a, b)`;
+/// - two equal stored keys are `Corrupt`, as the perfect-hash rebuild needs
+///   distinct keys (duplicates are a construction-time panic, which bytes
+///   from disk must never reach);
+/// - keys that pair distinct nodes but are all canonical already are
+///   `Corrupt`: every v1 and v2 writer stored such pairs in both
+///   orientations, so this is a v3 payload under a damaged version word
+///   (`3 ^ 1 == 2`), which the frame checksum does not cover.
+fn canonicalise_ordered(entries: &mut Vec<(u64, f64)>) -> Result<(), PersistError> {
+    let canonical = |k: u64| {
+        let (a, b) = unpair_key(k);
+        (pair_key(a, b), a > b)
+    };
+    // Equal stored keys sort adjacent, and each key sorts before its
+    // mirror.
+    entries.sort_unstable_by_key(|&(k, _)| canonical(k));
+    if entries.windows(2).any(|w| w[0].0 == w[1].0) {
+        return Err(PersistError::Corrupt("duplicate node-pair key"));
+    }
+    let (mut distinct, mut mirrored) = (false, false);
+    for e in entries.iter_mut() {
+        let (a, b) = unpair_key(e.0);
+        distinct |= a != b;
+        mirrored |= a > b;
+        e.0 = pair_key(a, b);
+    }
+    if distinct && !mirrored {
+        return Err(PersistError::Corrupt("ordered node-pair keys without mirrors"));
+    }
+    entries.dedup_by_key(|e| e.0);
+    Ok(())
 }
 
 impl Atlas {
@@ -1026,7 +1092,8 @@ mod tests {
     use terrain::refine::insert_surface_points;
 
     /// A v1 atlas image written by an earlier build (see
-    /// `tests/fixtures/v1/README.md`): this build reads v1 but writes only v2.
+    /// `tests/fixtures/v1/README.md`): this build reads v1 but writes only
+    /// `SEAT` v2.
     const V1_ATLAS: &[u8] = include_bytes!("../../../tests/fixtures/v1/atlas-l4.seat");
 
     fn version_word(image: &[u8]) -> u32 {
@@ -1186,7 +1253,7 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Compact (v2) images
+    // Compact images (`SEOR` v3, `SEAT` v2)
     // ------------------------------------------------------------------
 
     #[test]
@@ -1200,7 +1267,7 @@ mod tests {
                 assert_eq!(
                     loaded.distance(s, t).to_bits(),
                     o.distance(s, t).to_bits(),
-                    "uncompressed v2 must answer bit-identically ({s},{t})"
+                    "an uncompressed image must answer bit-identically ({s},{t})"
                 );
             }
         }
@@ -1340,6 +1407,79 @@ mod tests {
         for cut in [0usize, 3, 15, 40, bytes.len() / 2, bytes.len() - 4] {
             assert!(Atlas::load_bytes(&bytes[..cut]).is_err(), "cut at {cut} accepted");
         }
+    }
+
+    // ------------------------------------------------------------------
+    // Canonical node-pair keys
+    // ------------------------------------------------------------------
+
+    /// A raw ordered key `(a, b)` as v1 and v2 images store it
+    /// (`pair_key` itself is canonical).
+    fn ordered_key(a: u32, b: u32) -> u64 {
+        (u64::from(a) << 32) | u64::from(b)
+    }
+
+    #[test]
+    fn legacy_keys_merge_with_their_mirrors_and_lone_mirrors_are_rekeyed() {
+        // (1, 2) keeps its own value over its mirror's; the lone (3, 1)
+        // becomes (1, 3).
+        let mut e = vec![
+            (ordered_key(3, 1), 7.0),
+            (ordered_key(2, 1), 6.0),
+            (ordered_key(3, 3), 0.0),
+            (ordered_key(1, 2), 5.0),
+        ];
+        canonicalise_ordered(&mut e).unwrap();
+        assert_eq!(e, [(pair_key(1, 2), 5.0), (pair_key(1, 3), 7.0), (pair_key(3, 3), 0.0)]);
+    }
+
+    #[test]
+    fn legacy_equal_keys_stay_corrupt() {
+        let stored = [(ordered_key(1, 2), 5.0), (ordered_key(2, 1), 5.0), (ordered_key(4, 4), 0.0)];
+        for (twice, _) in stored {
+            let mut e = stored.to_vec();
+            e.push((twice, 1.0));
+            assert!(matches!(
+                canonicalise_ordered(&mut e),
+                Err(PersistError::Corrupt("duplicate node-pair key"))
+            ));
+        }
+    }
+
+    #[test]
+    fn legacy_keys_without_a_mirror_are_corrupt_unless_all_diagonal() {
+        let mut e = vec![(ordered_key(1, 2), 5.0), (ordered_key(1, 1), 0.0)];
+        assert!(matches!(
+            canonicalise_ordered(&mut e),
+            Err(PersistError::Corrupt("ordered node-pair keys without mirrors"))
+        ));
+        // A single-site oracle stores only its leaf pair, in both layouts.
+        let mut e = vec![(ordered_key(1, 1), 0.0)];
+        canonicalise_ordered(&mut e).unwrap();
+        assert_eq!(e, [(pair_key(1, 1), 0.0)]);
+    }
+
+    #[test]
+    fn v3_rejects_a_key_with_a_above_b() {
+        let o = oracle(10, 59, 0.25);
+        let mut entries: Vec<(u64, f64)> = o.pair_entries().collect();
+        let at = entries.iter().position(|&(k, _)| unpair_key(k).0 != unpair_key(k).1).unwrap();
+        let (a, b) = unpair_key(entries[at].0);
+        entries[at].0 = ordered_key(b, a);
+        let hostile = SeOracle::from_parts(o.epsilon(), o.tree().clone(), entries, 7);
+        let bytes = hostile.save_bytes_compact(false);
+        assert_eq!(version_word(&bytes), ORACLE_VERSION_COMPACT);
+        assert!(matches!(
+            SeOracle::load_bytes(&bytes),
+            Err(PersistError::Corrupt("node-pair key not canonical"))
+        ));
+        // A v3 image stamped v2 has no mirrors, which no v2 writer wrote.
+        let mut relabelled = o.save_bytes_compact(false);
+        relabelled[4..8].copy_from_slice(&2u32.to_le_bytes());
+        assert!(matches!(
+            SeOracle::load_bytes(&relabelled),
+            Err(PersistError::Corrupt("ordered node-pair keys without mirrors"))
+        ));
     }
 
     #[test]

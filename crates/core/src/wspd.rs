@@ -7,8 +7,19 @@
 //! non-well-separated pair is split at its larger-radius node (ties by
 //! smaller node id) until all pairs are well-separated. Theorem 1 proves
 //! the resulting set has the *unique node pair match property* — for any
-//! two POIs exactly one ordered pair contains them — and that the distance
+//! two POIs exactly one pair contains them — and that the distance
 //! associated with the pair ε-approximates theirs.
+//!
+//! Geodesic distance is symmetric, so the set is generated *unordered*:
+//! each pair `{O, O'}` is emitted once. A diagonal pair `⟨O, O⟩` (the
+//! root, then each child paired with itself) splits straight into its
+//! child pairs `⟨cᵢ, cⱼ⟩` with `i ≤ j`; the two subtrees of an off-diagonal
+//! pair are disjoint, so every pair below it is generated in one
+//! orientation. The split rule (larger radius, ties by smaller id) does not
+//! depend on orientation, so with a symmetric resolver this is exactly the
+//! ordered set of the paper with each mirror `⟨O', O⟩` of `⟨O, O'⟩` left
+//! out. (The enhanced-edge resolver is symmetric bit for bit; the naive
+//! one's per-source SSADs are not, and each pair is now resolved once.)
 
 use crate::ctree::CompressedTree;
 
@@ -24,8 +35,9 @@ pub trait PairDistanceResolver {
 /// One entry of the node pair set.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodePair {
-    /// Compressed-tree node ids (ordered — `⟨a, b⟩` and `⟨b, a⟩` are
-    /// distinct entries).
+    /// Compressed-tree node ids. The pair is unordered: `⟨a, b⟩` also
+    /// answers `⟨b, a⟩`, whose mirror entry is never generated (key it
+    /// with the symmetric `phash::pair_key`).
     pub a: u32,
     /// Second compressed-tree node id of the pair.
     pub b: u32,
@@ -38,8 +50,8 @@ pub struct NodePair {
 pub struct NodePairSet {
     /// The well-separated pairs with their center distances.
     pub pairs: Vec<NodePair>,
-    /// Pairs examined by the splitting procedure (Theorem 2 bounds this by
-    /// `O(nh/ε^{2β})`).
+    /// Unordered pairs examined by the splitting procedure (Theorem 2
+    /// bounds this by `O(nh/ε^{2β})`).
     pub considered: u64,
     /// Distance-resolver invocations.
     pub resolver_calls: u64,
@@ -57,11 +69,35 @@ pub fn generate(
     let mut considered = 0u64;
     let mut resolver_calls = 0u64;
 
+    // Geodesic distance between two nodes' centers; a shared center is 0
+    // without a resolver call.
+    let mut center_dist = |x: u32, y: u32| {
+        let (cx, cy) = (ctree.nodes[x as usize].center, ctree.nodes[y as usize].center);
+        if cx == cy {
+            0.0
+        } else {
+            resolver_calls += 1;
+            resolver.resolve(cx as usize, cy as usize)
+        }
+    };
+
     // (node a, node b, center distance).
     let mut stack: Vec<(u32, u32, f64)> = vec![(ctree.root, ctree.root, 0.0)];
 
     while let Some((a, b, d)) = stack.pop() {
         considered += 1;
+        let children = &ctree.nodes[a as usize].children;
+        if a == b && !children.is_empty() {
+            // ⟨O, O⟩ above the leaves is never well-separated (d = 0 < a
+            // positive radius): split both sides at once, one orientation
+            // per child pair.
+            for (i, &ci) in children.iter().enumerate() {
+                for &cj in &children[i..] {
+                    stack.push((ci, cj, center_dist(ci, cj)));
+                }
+            }
+            continue;
+        }
         let ra = ctree.enlarged_radius(a);
         let rb = ctree.enlarged_radius(b);
         if d >= sep * ra.max(rb) {
@@ -81,28 +117,12 @@ pub fn generate(
              should have been well-separated"
         );
         if split_a {
-            let cb = ctree.nodes[b as usize].center as usize;
             for &child in &ctree.nodes[a as usize].children {
-                let cc = ctree.nodes[child as usize].center as usize;
-                let cd = if cc == cb {
-                    0.0
-                } else {
-                    resolver_calls += 1;
-                    resolver.resolve(cc, cb)
-                };
-                stack.push((child, b, cd));
+                stack.push((child, b, center_dist(child, b)));
             }
         } else {
-            let ca = ctree.nodes[a as usize].center as usize;
             for &child in &ctree.nodes[b as usize].children {
-                let cc = ctree.nodes[child as usize].center as usize;
-                let cd = if cc == ca {
-                    0.0
-                } else {
-                    resolver_calls += 1;
-                    resolver.resolve(ca, cc)
-                };
-                stack.push((a, child, cd));
+                stack.push((a, child, center_dist(a, child)));
             }
         }
     }
@@ -159,22 +179,24 @@ mod tests {
         }
     }
 
+    /// Whether stored pair `p` contains sites with leaves `ls` and `lt`,
+    /// in either orientation.
+    fn covers(c: &CompressedTree, p: &NodePair, ls: u32, lt: u32) -> bool {
+        let within = |x: u32, y: u32| c.is_ancestor_or_self(x, ls) && c.is_ancestor_or_self(y, lt);
+        within(p.a, p.b) || within(p.b, p.a)
+    }
+
     #[test]
     fn unique_pair_match_property() {
         // Theorem 1: for every ordered site pair exactly one node pair
-        // contains it.
+        // contains it, in either orientation.
         let (sp, c) = setup(12, 5);
         let set = pairs_for(&sp, &c, 0.4);
         let n = 12;
         for s in 0..n {
             for t in 0..n {
-                let ls = c.leaf_of_site[s];
-                let lt = c.leaf_of_site[t];
-                let matching = set
-                    .pairs
-                    .iter()
-                    .filter(|p| c.is_ancestor_or_self(p.a, ls) && c.is_ancestor_or_self(p.b, lt))
-                    .count();
+                let (ls, lt) = (c.leaf_of_site[s], c.leaf_of_site[t]);
+                let matching = set.pairs.iter().filter(|p| covers(&c, p, ls, lt)).count();
                 assert_eq!(matching, 1, "sites ({s},{t}) matched {matching} pairs");
             }
         }
@@ -191,13 +213,8 @@ mod tests {
                 if s == t {
                     continue;
                 }
-                let ls = c.leaf_of_site[s];
-                let lt = c.leaf_of_site[t];
-                let p = set
-                    .pairs
-                    .iter()
-                    .find(|p| c.is_ancestor_or_self(p.a, ls) && c.is_ancestor_or_self(p.b, lt))
-                    .unwrap();
+                let (ls, lt) = (c.leaf_of_site[s], c.leaf_of_site[t]);
+                let p = set.pairs.iter().find(|p| covers(&c, p, ls, lt)).unwrap();
                 let exact = sp.distance(s, t);
                 assert!(
                     (p.dist - exact).abs() <= eps * exact + 1e-9,
@@ -209,13 +226,13 @@ mod tests {
     }
 
     #[test]
-    fn ordered_symmetry() {
+    fn no_mirror_is_stored() {
         let (sp, c) = setup(12, 9);
         let set = pairs_for(&sp, &c, 0.5);
-        for p in &set.pairs {
+        for p in set.pairs.iter().filter(|p| p.a != p.b) {
             assert!(
-                set.pairs.iter().any(|q| q.a == p.b && q.b == p.a),
-                "missing mirror of ({}, {})",
+                !set.pairs.iter().any(|q| q.a == p.b && q.b == p.a),
+                "({}, {}) is stored with its mirror",
                 p.a,
                 p.b
             );

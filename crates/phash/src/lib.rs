@@ -31,16 +31,20 @@ mod universal;
 pub use map::PerfectMap;
 pub use universal::{splitmix64, UniversalHash};
 
-/// Packs an ordered pair of 32-bit identifiers into a single `u64` key.
+/// Packs an unordered pair of 32-bit identifiers into a single `u64` key:
+/// the smaller id in the high half, the larger in the low half.
 ///
-/// Node pairs in the SE oracle are *ordered* (`⟨O, O'⟩` differs from
-/// `⟨O', O⟩`), so no symmetrisation is applied.
+/// Node pairs in the SE oracle are *unordered* — geodesic distance is
+/// symmetric, so `⟨O, O'⟩` and `⟨O', O⟩` are one pair — and every map keyed
+/// by node pairs stores and probes this canonical key, so
+/// `pair_key(a, b) == pair_key(b, a)`.
 #[inline]
 pub const fn pair_key(a: u32, b: u32) -> u64 {
-    ((a as u64) << 32) | (b as u64)
+    let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+    ((lo as u64) << 32) | (hi as u64)
 }
 
-/// Unpacks a key produced by [`pair_key`].
+/// Unpacks a key produced by [`pair_key`] as `(min, max)`.
 #[inline]
 pub const fn unpair_key(key: u64) -> (u32, u32) {
     ((key >> 32) as u32, key as u32)
@@ -53,12 +57,14 @@ mod tests {
     #[test]
     fn pair_key_roundtrip() {
         for &(a, b) in &[(0, 0), (1, 2), (u32::MAX, 0), (0, u32::MAX), (7, 7)] {
-            assert_eq!(unpair_key(pair_key(a, b)), (a, b));
+            assert_eq!(unpair_key(pair_key(a, b)), (a.min(b), a.max(b)));
         }
     }
 
     #[test]
-    fn pair_key_is_order_sensitive() {
-        assert_ne!(pair_key(1, 2), pair_key(2, 1));
+    fn pair_key_is_symmetric() {
+        assert_eq!(pair_key(1, 2), pair_key(2, 1));
+        assert_eq!(pair_key(u32::MAX, 0), pair_key(0, u32::MAX));
+        assert_ne!(pair_key(1, 2), pair_key(1, 3));
     }
 }

@@ -72,7 +72,7 @@ USAGE:
                        answers within (1+eps)(1+EPS_QUANT), EPS_QUANT =
                        2^-20, from a smaller image; without it the tables
                        are raw and answers bit-identical. Images are
-                       always format v2.)
+                       always SEOR format v3.)
                        [--trace <file.json>]  (write a Chrome trace-event
                        JSON of the build phases; view in chrome://tracing
                        or Perfetto. The built image is byte-identical with
@@ -97,8 +97,9 @@ USAGE:
                        [--portal-spacing <k>] [--engine exact|edge|steiner]
                        [--threads <n>] [--compress]   (tiled per-piece
                        oracles + portal graph; defaults: 2x2 grid, 0.15
-                       overlap, spacing 8; the image is format v2, and
-                       --compress quantizes its tables as for build)
+                       overlap, spacing 8; the image is SEAT format v2
+                       with v3 tiles, and --compress quantizes its tables
+                       as for build)
   terrain-oracle atlas-query --atlas <file.seat> [--pairs-file <f>]
                        [--threads <n>]   (pairs from the file or stdin, one
                        '<s> <t>' per line; 0 threads = auto-detect)

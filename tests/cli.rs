@@ -24,12 +24,19 @@ fn stderr(o: &Output) -> String {
     String::from_utf8_lossy(&o.stderr).into_owned()
 }
 
-/// Every image the CLI writes is format v2 (v1 images are read, never
-/// written); returns the image's length.
-fn assert_version_2(image: &std::path::Path, magic: &[u8; 4]) -> usize {
+/// Every image the CLI writes is in the current format, `SEOR` version 3
+/// or `SEAT` version 2 (older versions are read, never written); returns
+/// the image's length.
+fn assert_current_version(image: &std::path::Path, magic: &[u8; 4]) -> usize {
     let bytes = std::fs::read(image).unwrap();
     assert_eq!(&bytes[0..4], magic, "{} is the wrong image kind", image.display());
-    assert_eq!(bytes[4..8], 2u32.to_le_bytes(), "{} is not format version 2", image.display());
+    let version: u32 = if magic == b"SEOR" { 3 } else { 2 };
+    assert_eq!(
+        bytes[4..8],
+        version.to_le_bytes(),
+        "{} is not format version {version}",
+        image.display()
+    );
     bytes.len()
 }
 
@@ -68,7 +75,7 @@ fn full_workflow_gen_build_info_query_knn() {
         "exact",
     ]);
     assert!(o.status.success(), "build failed: {}", stderr(&o));
-    assert_version_2(&image, b"SEOR");
+    assert_current_version(&image, b"SEOR");
 
     // info
     let o = run(&["info", "--oracle", image.to_str().unwrap()]);
@@ -490,7 +497,7 @@ fn atlas_workflow_build_query_and_errors() {
     };
     let o = atlas_build(&seat, &[]);
     assert!(o.status.success(), "atlas-build failed: {}", stderr(&o));
-    let seat_len = assert_version_2(&seat, b"SEAT");
+    let seat_len = assert_current_version(&seat, b"SEAT");
     assert!(stderr(&o).contains("portals"), "stats line expected: {}", stderr(&o));
 
     // A monolithic image over the same inputs: the two CLIs must agree
@@ -514,18 +521,18 @@ fn atlas_workflow_build_query_and_errors() {
     };
     let o = build(&seor, &[]);
     assert!(o.status.success(), "build failed: {}", stderr(&o));
-    let seor_len = assert_version_2(&seor, b"SEOR");
+    let seor_len = assert_current_version(&seor, b"SEOR");
 
-    // --compress writes the quantized v2 image, smaller than the raw one.
+    // --compress writes the quantized image, smaller than the raw one.
     let packed = dir.join("packed.seat");
     let o = atlas_build(&packed, &["--compress"]);
     assert!(o.status.success(), "atlas-build --compress failed: {}", stderr(&o));
-    let packed_len = assert_version_2(&packed, b"SEAT");
+    let packed_len = assert_current_version(&packed, b"SEAT");
     assert!(packed_len < seat_len, "compressed atlas {packed_len} B vs raw {seat_len} B");
     let packed = dir.join("packed.seor");
     let o = build(&packed, &["--compress"]);
     assert!(o.status.success(), "build --compress failed: {}", stderr(&o));
-    let packed_len = assert_version_2(&packed, b"SEOR");
+    let packed_len = assert_current_version(&packed, b"SEOR");
     assert!(packed_len < seor_len, "compressed oracle {packed_len} B vs raw {seor_len} B");
 
     let pairs = dir.join("pairs.txt");

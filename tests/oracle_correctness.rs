@@ -151,9 +151,11 @@ fn efficient_query_equals_naive_query_everywhere() {
 
 /// Theorem 1 against the kernel's probe order, for every ordered site
 /// pair: exactly one stored node pair lies in the product of the two
-/// sites' root paths, and the kernel answers bit-identically to
-/// `distance_naive`, which scans that whole product. Summed over all
-/// pairs the kernel must also probe less than the naive scan.
+/// sites' root paths, in either orientation (the oracle stores each
+/// unordered pair once, under the symmetric `pair_key`), and the kernel
+/// answers bit-identically to `distance_naive`, which scans that whole
+/// product. Summed over all pairs the kernel must also probe less than the
+/// naive scan.
 fn assert_unique_match_and_kernel_answers(se: &SeOracle, label: &str) {
     let stored: HashSet<u64> = se.pair_entries().map(|(k, _)| k).collect();
     let tree = se.tree();
@@ -186,7 +188,7 @@ fn assert_unique_match_and_kernel_answers(se: &SeOracle, label: &str) {
 fn unique_pair_match_and_probe_order_hold_at_scale() {
     // `efficient_query_equals_naive_query_everywhere` (n = 20) is answered
     // entirely by first probes, so the order past the first probe is
-    // exercised only by larger builds like these and by the v1 fixtures.
+    // exercised only by larger builds like these and by the fixtures.
     for n in [60, 200] {
         let (mesh, pois) = mesh_with_pois(5, 0.6, 151, n);
         let oracle =
@@ -195,8 +197,9 @@ fn unique_pair_match_and_probe_order_hold_at_scale() {
         assert_unique_match_and_kernel_answers(oracle.oracle(), &format!("exact n={n}"));
     }
     for (label, image) in [
-        ("oracle-l4.seor", &include_bytes!("fixtures/v1/oracle-l4.seor")[..]),
-        ("oracle-l5.seor", &include_bytes!("fixtures/v1/oracle-l5.seor")[..]),
+        ("v1/oracle-l4.seor", &include_bytes!("fixtures/v1/oracle-l4.seor")[..]),
+        ("v1/oracle-l5.seor", &include_bytes!("fixtures/v1/oracle-l5.seor")[..]),
+        ("v2/oracle-l5.seor", &include_bytes!("fixtures/v2/oracle-l5.seor")[..]),
     ] {
         assert_unique_match_and_kernel_answers(&SeOracle::load_bytes(image).unwrap(), label);
     }
@@ -224,10 +227,10 @@ fn v2v_mode_covers_all_vertices() {
 fn storage_growth_dips_below_quadratic() {
     // Theorem 2's O(n·h/ε^{2β}) is asymptotic: its packing constant is
     // ≈ (1/ε)^{2β} ≈ 10⁴ at ε = 0.25, so at integration-test scale the
-    // oracle may store up to all n² ordered pairs. The measurable claim
-    // here is the *onset* of sub-quadratic growth — each doubling of n
-    // multiplies storage by strictly less than the quadratic 4× — plus
-    // the hard n² ceiling.
+    // oracle may store up to all n(n+1)/2 unordered pairs. The measurable
+    // claim here is the *onset* of sub-quadratic growth — each doubling of
+    // n multiplies storage by strictly less than the quadratic 4× — plus
+    // the hard n(n+1)/2 ceiling.
     let mesh = fractal_mesh(4, 0.6, 137);
     let eps = 0.25;
     let data: Vec<(usize, usize)> = [20usize, 40, 80]
@@ -236,7 +239,8 @@ fn storage_growth_dips_below_quadratic() {
             let pois = sample_uniform(&mesh, n, 31);
             let o = P2POracle::build(&mesh, &pois, eps, EngineKind::Exact, &BuildConfig::default())
                 .unwrap();
-            assert!(o.oracle().n_pairs() <= n * n, "n={n}: {} pairs", o.oracle().n_pairs());
+            let ceiling = n * (n + 1) / 2;
+            assert!(o.oracle().n_pairs() <= ceiling, "n={n}: {} pairs", o.oracle().n_pairs());
             (o.oracle().n_pairs(), o.storage_bytes())
         })
         .collect();

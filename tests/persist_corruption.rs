@@ -15,26 +15,29 @@
 //! exhaustive coverage of the header and trailer plus a prime-strided
 //! sweep of the interior — same property, sampled.
 //!
-//! Compact (v2) images run the same exhaustive batteries — every byte
-//! flip (including flips inside quantization headers: the qtable
+//! Compact images (`SEOR` v3, `SEAT` v2, as this build writes them) run
+//! the same exhaustive batteries — every byte flip (including flips inside quantization headers: the qtable
 //! mode/scale/offset fields live in the payload, so the sweep crosses
 //! them) and every truncation, under the same strict allocation bound,
 //! because the frame checksum rejects any payload damage before the
 //! parser runs. A second battery *repairs* the checksum after each flip
-//! so the corrupt bytes actually reach the v2 varint/qtable parsers;
+//! so the corrupt bytes actually reach the compact varint/qtable parsers;
 //! there the outcome may legitimately be `Ok` (a flipped distance is
 //! still a distance) — the contract is no panic and a bounded decode
-//! (v2 varint counts can amplify transiently: a node record decodes to
+//! (compact varint counts can amplify transiently: a node record decodes to
 //! ~56 resident bytes from a few varint bytes, so this battery gets a
 //! correspondingly wider 32×input+64 KiB bound). Every tampered image
 //! that does load is then queried over every site pair through its
 //! checked kernel, which must answer or return a typed error — never
 //! panic.
 //!
-//! The v1 images are checked-in fixtures (`tests/fixtures/v1/`), written
-//! by the v1 encoder of an earlier build: this build reads v1 but writes
-//! only v2. Each fixture is checked to carry version word 1 before use,
-//! and one test pins that each decodes to what its constructor builds.
+//! The v1 and v2 images are checked-in fixtures (`tests/fixtures/v1/`,
+//! `tests/fixtures/v2/`), written by the encoders of earlier builds: this
+//! build reads them but writes only `SEOR` v3 and `SEAT` v2 with v3 tiles.
+//! Each fixture is checked to carry its version word before use, and one
+//! test per version pins that each decodes to what its constructor builds.
+//! Both legacy versions store every node pair twice, once per orientation,
+//! so these tests also pin the loader's canonicalisation.
 //!
 //! Atlas damage also goes through the out-of-core open: the image is
 //! written to a file and opened with `Atlas::open_out_of_core`, the loader
@@ -106,34 +109,59 @@ fn peak() -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// Fixtures: valid images — checked-in v1 files, and v2 images built once
-// per kind.
+// Fixtures: valid images — checked-in v1 and v2 files, and current images
+// built once per kind.
 // ---------------------------------------------------------------------------
 
-/// A checked-in v1 image, after checking its version word.
-fn v1_fixture(image: &'static [u8]) -> &'static [u8] {
-    assert_eq!(image[4..8], 1u32.to_le_bytes(), "fixture is not a v1 image");
+/// A checked-in image, after checking that it carries version word
+/// `version`.
+fn fixture(image: &'static [u8], version: u32) -> &'static [u8] {
+    assert_eq!(image[4..8], version.to_le_bytes(), "fixture is not a v{version} image");
     image
 }
 
 /// `build_p2p(101, 16, 0.25, EngineKind::EdgeGraph)`, v1.
 fn seor_level4() -> &'static [u8] {
-    v1_fixture(include_bytes!("fixtures/v1/oracle-l4.seor"))
+    fixture(include_bytes!("fixtures/v1/oracle-l4.seor"), 1)
 }
 
-/// A P2P oracle over `mesh_with_pois(5, 0.6, 102, 24)`, ε 0.25, v1.
+/// [`oracle_level5`], v1.
 fn seor_level5() -> &'static [u8] {
-    v1_fixture(include_bytes!("fixtures/v1/oracle-l5.seor"))
+    fixture(include_bytes!("fixtures/v1/oracle-l5.seor"), 1)
 }
 
 /// `build_atlas(4, 409, 24)`, v1.
 fn seat_level4() -> &'static [u8] {
-    v1_fixture(include_bytes!("fixtures/v1/atlas-l4.seat"))
+    fixture(include_bytes!("fixtures/v1/atlas-l4.seat"), 1)
 }
 
 /// `build_atlas(5, 410, 28)`, v1.
 fn seat_level5() -> &'static [u8] {
-    v1_fixture(include_bytes!("fixtures/v1/atlas-l5.seat"))
+    fixture(include_bytes!("fixtures/v1/atlas-l5.seat"), 1)
+}
+
+/// [`oracle_level5`] as a raw `SEOR` v2 image.
+fn seor_level5_fixture_v2() -> &'static [u8] {
+    fixture(include_bytes!("fixtures/v2/oracle-l5.seor"), 2)
+}
+
+/// [`oracle_level5`] as a compressed `SEOR` v2 image.
+fn seor_level5_fixture_v2_compressed() -> &'static [u8] {
+    fixture(include_bytes!("fixtures/v2/oracle-l5-c.seor"), 2)
+}
+
+/// `build_atlas(4, 409, 24)` as a raw `SEAT` v2 image with v2 tiles.
+fn seat_level4_fixture_v2() -> &'static [u8] {
+    fixture(include_bytes!("fixtures/v2/atlas-l4.seat"), 2)
+}
+
+/// A P2P oracle over `mesh_with_pois(5, 0.6, 102, 24)`, ε 0.25, edge
+/// engine.
+fn oracle_level5() -> SeOracle {
+    let (mesh, pois) = mesh_with_pois(5, 0.6, 102, 24);
+    P2POracle::build(&mesh, &pois, 0.25, EngineKind::EdgeGraph, &BuildConfig::default())
+        .unwrap()
+        .into_oracle()
 }
 
 fn build_atlas(level: u32, seed: u64, n: usize) -> Atlas {
@@ -147,7 +175,8 @@ fn build_atlas(level: u32, seed: u64, n: usize) -> Atlas {
         .unwrap()
 }
 
-/// Compact (v2, compressed) variants of the level-4 fixtures.
+/// Compact, compressed variants of the level-4 fixtures, in the current
+/// formats (`SEOR` v3, `SEAT` v2 with v3 tiles).
 fn seor_level4_v2() -> &'static [u8] {
     static B: OnceLock<Vec<u8>> = OnceLock::new();
     B.get_or_init(|| {
@@ -160,7 +189,7 @@ fn seat_level4_v2() -> &'static [u8] {
     B.get_or_init(|| build_atlas(4, 409, 24).save_bytes_compact(true))
 }
 
-/// The level-4 atlas as a raw (uncompressed) v2 image.
+/// The level-4 atlas as a raw (uncompressed) current image.
 fn seat_level4_v2_raw() -> &'static [u8] {
     static B: OnceLock<Vec<u8>> = OnceLock::new();
     B.get_or_init(|| build_atlas(4, 409, 24).save_bytes_compact(false))
@@ -383,17 +412,12 @@ fn seat_level4_loads_clean() {
 #[test]
 fn v1_fixtures_decode_to_their_constructors() {
     // Each v1 fixture must decode to exactly what its constructor builds.
-    // Raw v2 is lossless and canonical, so equal raw v2 re-encodes mean
-    // every decoded table matches the build; the answers must match too.
-    let oracle_l5 = {
-        let (mesh, pois) = mesh_with_pois(5, 0.6, 102, 24);
-        P2POracle::build(&mesh, &pois, 0.25, EngineKind::EdgeGraph, &BuildConfig::default())
-            .unwrap()
-            .into_oracle()
-    };
+    // A raw re-encode is lossless and canonical, so equal raw re-encodes
+    // mean every decoded table matches the build; the answers must match
+    // too.
     let oracles = [
         ("oracle-l4", seor_level4(), build_p2p(101, 16, 0.25, EngineKind::EdgeGraph).into_oracle()),
-        ("oracle-l5", seor_level5(), oracle_l5),
+        ("oracle-l5", seor_level5(), oracle_level5()),
     ];
     for (name, fixture, built) in oracles {
         let loaded = SeOracle::load_bytes(fixture).unwrap();
@@ -423,6 +447,49 @@ fn v1_fixtures_decode_to_their_constructors() {
                 let (got, want) = (loaded.distance(s, t), built.distance(s, t));
                 assert_eq!(got.to_bits(), want.to_bits(), "{name}: d({s},{t})");
             }
+        }
+    }
+}
+
+#[test]
+fn v2_fixtures_decode_to_their_constructors() {
+    // Each v2 fixture, written by the last build that stored every node
+    // pair in both orientations, must load canonicalised to exactly what
+    // its constructor builds now: re-encoded here, it is byte-identical to
+    // the build re-encoded the same way (compressed for the compressed
+    // fixture), and it answers every ordered pair bit-identically to that
+    // re-encode. The parent's answers are this revision's answers.
+    let built = oracle_level5();
+    let oracles = [
+        ("oracle-l5", seor_level5_fixture_v2(), false),
+        ("oracle-l5-c", seor_level5_fixture_v2_compressed(), true),
+    ];
+    for (name, fixture, compress) in oracles {
+        let loaded = SeOracle::load_bytes(fixture).unwrap();
+        let image = built.save_bytes_compact(compress);
+        assert!(
+            loaded.save_bytes_compact(compress) == image,
+            "{name}: the fixture does not decode to its constructor"
+        );
+        let want = SeOracle::load_bytes(&image).unwrap();
+        assert_eq!(loaded.n_pairs(), built.n_pairs(), "{name}: mirrors not merged");
+        for s in 0..built.n_sites() {
+            for t in 0..built.n_sites() {
+                let (got, want) = (loaded.distance(s, t), want.distance(s, t));
+                assert_eq!(got.to_bits(), want.to_bits(), "{name}: d({s},{t})");
+            }
+        }
+    }
+    let built = build_atlas(4, 409, 24);
+    let loaded = Atlas::load_bytes(seat_level4_fixture_v2()).unwrap();
+    assert!(
+        loaded.save_bytes_compact(false) == built.save_bytes_compact(false),
+        "atlas-l4: the fixture does not decode to its constructor"
+    );
+    for s in 0..built.n_sites() {
+        for t in 0..built.n_sites() {
+            let (got, want) = (loaded.distance(s, t), built.distance(s, t));
+            assert_eq!(got.to_bits(), want.to_bits(), "atlas-l4: d({s},{t})");
         }
     }
 }
@@ -507,6 +574,13 @@ fn seat_v2_checksum_fixed_flips_open_out_of_core_as_they_load() {
 #[test]
 fn seat_raw_v2_checksum_fixed_flips_open_out_of_core_as_they_load() {
     checksum_fixed_flips(Kind::OutOfCore, seat_level4_v2_raw(), "seat-raw-v2-l4-ooc");
+}
+
+#[test]
+fn seat_v2_fixture_strided_corruption_rejected() {
+    for kind in [Kind::Atlas, Kind::OutOfCore] {
+        strided_flips_and_truncations(kind, seat_level4_fixture_v2(), "seat-v2-fixture-l4");
+    }
 }
 
 #[test]
