@@ -2,13 +2,14 @@
 //!
 //! * `ablation_query`   — the paper's O(h) query vs the naive O(h²) scan;
 //! * `ablation_build`   — enhanced-edge construction vs per-pair SSAD;
-//! * `ablation_hash`    — FKS perfect hash vs `std::collections::HashMap`;
+//! * `ablation_hash`    — the node-pair table (per-node sorted rows, which
+//!   replace the paper's perfect hash) vs `std::collections::HashMap`;
 //! * `ablation_engine`  — exact vs Steiner vs edge-graph engines at build;
 //! * `ablation_select`  — random vs greedy point selection.
 
 use bench::setup::{query_pairs, Workload};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use phash::{pair_key, PerfectMap};
+use phash::{pair_key, splitmix64, unpair_key, PairTable};
 use se_oracle::oracle::{BuildConfig, ConstructionMethod};
 use se_oracle::p2p::{EngineKind, P2POracle};
 use se_oracle::tree::SelectionStrategy;
@@ -65,43 +66,52 @@ fn ablation_build(c: &mut Criterion) {
     g.finish();
 }
 
-/// FKS perfect hash vs std HashMap for node-pair probing (§3.3 indexes the
-/// node pair set with perfect hashing; is that worth it?).
+/// The node-pair table vs std HashMap for node-pair probing (§3.3 indexes
+/// the node pair set with perfect hashing; `phash` answers each probe by a
+/// binary search in one per-node row instead — would a hash be faster?).
 fn ablation_hash(c: &mut Criterion) {
     let w = workload();
     let oracle =
         P2POracle::build(&w.mesh, &w.pois, 0.1, EngineKind::Exact, &BuildConfig::default())
             .unwrap();
     let entries: Vec<(u64, f64)> = oracle.oracle().pair_entries().collect();
-    let fks = PerfectMap::build(entries.clone(), 99);
+    let n_nodes = oracle.oracle().tree().n_nodes();
+    let table = PairTable::new(n_nodes, entries.clone());
     let std_map: HashMap<u64, f64> = entries.iter().copied().collect();
     // Probe mix: half hits, half misses, close to the query kernel's own
     // mix: each pair's last probe is its one hit, at about 1.9 probes per
-    // pair (`oracle.probes_per_pair` on perfbench's `local` workload).
-    let probes: Vec<u64> = entries
-        .iter()
-        .map(|&(k, _)| k)
-        .chain((0..entries.len() as u32).map(|i| pair_key(i * 2 + 1, i * 7 + 3)))
-        .collect();
+    // pair (`oracle.probes_per_pair` on perfbench's `local` workload). A
+    // miss, like the kernel's, pairs two nodes of the tree that are not
+    // stored together.
+    let mut x = 0x5EED;
+    let misses = std::iter::from_fn(|| {
+        x = splitmix64(x);
+        Some(pair_key((x % n_nodes as u64) as u32, ((x >> 32) % n_nodes as u64) as u32))
+    })
+    .filter(|k| !std_map.contains_key(k));
+    let probes: Vec<(u32, u32)> =
+        entries.iter().map(|&(k, _)| k).chain(misses.take(entries.len())).map(unpair_key).collect();
 
     let mut g = c.benchmark_group("ablation_hash");
-    g.bench_function("fks-perfect", |b| {
+    g.bench_function("pair-table", |b| {
         let mut i = 0;
         b.iter(|| {
-            let k = probes[i % probes.len()];
+            let (s, t) = probes[i % probes.len()];
             i += 1;
-            black_box(fks.get(k))
+            black_box(table.get(s, t))
         })
     });
     g.bench_function("std-hashmap", |b| {
         let mut i = 0;
         b.iter(|| {
-            let k = probes[i % probes.len()];
+            let (s, t) = probes[i % probes.len()];
             i += 1;
-            black_box(std_map.get(&k))
+            black_box(std_map.get(&pair_key(s, t)))
         })
     });
-    g.bench_function("fks-build", |b| b.iter(|| PerfectMap::build(black_box(entries.clone()), 3)));
+    g.bench_function("table-build", |b| {
+        b.iter(|| PairTable::new(n_nodes, black_box(entries.clone())))
+    });
     g.finish();
 }
 

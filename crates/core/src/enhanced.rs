@@ -13,14 +13,14 @@
 use crate::tree::PartitionTree;
 use crate::wspd::PairDistanceResolver;
 use geodesic::sitespace::SiteSpace;
-use phash::{pair_key, PerfectMap};
+use phash::{pair_key, PairTable};
 use std::collections::BTreeMap;
 
 /// The enhanced-edge index.
 pub struct EnhancedEdges {
     /// `pair_key(node_a, node_b)` → center distance, over original-tree
     /// node ids. (Enhanced pairs are symmetric: same layer, same radius.)
-    map: PerfectMap<f64>,
+    table: PairTable,
     /// Bounded SSAD requests issued (one per worked node). A caching space
     /// serves repeated centers from memory, so engine runs can be fewer —
     /// see `BuildStats::{cache_hits, cache_misses}`.
@@ -33,13 +33,7 @@ impl EnhancedEdges {
     /// Builds all enhanced edges. The per-node SSAD runs are distributed
     /// over `threads` pool workers (`0` = auto-detect); the result is
     /// identical for every thread count.
-    pub fn build(
-        org: &PartitionTree,
-        space: &dyn SiteSpace,
-        eps: f64,
-        threads: usize,
-        seed: u64,
-    ) -> Self {
+    pub fn build(org: &PartitionTree, space: &dyn SiteSpace, eps: f64, threads: usize) -> Self {
         assert!(eps > 0.0, "ε must be positive");
         let l = 8.0 / eps + 10.0;
 
@@ -116,19 +110,19 @@ impl EnhancedEdges {
         entries.dedup_by_key(|&mut (k, _)| k);
 
         let n_edges = entries.len();
-        Self { map: PerfectMap::build(entries, seed ^ 0xE44A_ED6E), ssad_runs: n_work, n_edges }
+        Self { table: PairTable::new(org.nodes.len(), entries), ssad_runs: n_work, n_edges }
     }
 
     /// Looks up the distance of the enhanced edge between two original-tree
     /// nodes.
     pub fn get(&self, node_a: u32, node_b: u32) -> Option<f64> {
-        self.map.get(pair_key(node_a, node_b)).copied()
+        self.table.get(node_a, node_b)
     }
 
     /// Heap bytes of the index (construction-time only; dropped after the
     /// node pair set is built).
     pub fn storage_bytes(&self) -> usize {
-        self.map.storage_bytes()
+        self.table.storage_bytes()
     }
 }
 
@@ -138,7 +132,7 @@ pub struct EnhancedResolver<'a> {
     org: &'a PartitionTree,
     edges: &'a EnhancedEdges,
     space: &'a dyn SiteSpace,
-    /// Resolves answered by the hash walk.
+    /// Resolves answered by the enhanced-edge walk.
     pub hits: u64,
     /// Resolves that fell back to a direct SSAD (expected: none; counted to
     /// surface numerical-boundary anomalies).
@@ -207,7 +201,7 @@ mod tests {
     fn edges_store_exact_distances() {
         let (sp, org) = setup(12, 3);
         let eps = 0.25;
-        let edges = EnhancedEdges::build(&org, &sp, eps, 1, 7);
+        let edges = EnhancedEdges::build(&org, &sp, eps, 1);
         assert!(edges.n_edges > 0);
         // Root layer skipped.
         assert_eq!(edges.ssad_runs as usize, org.nodes.len() - 1);
@@ -234,8 +228,8 @@ mod tests {
     #[test]
     fn parallel_build_matches_serial() {
         let (sp, org) = setup(14, 5);
-        let serial = EnhancedEdges::build(&org, &sp, 0.3, 1, 9);
-        let parallel = EnhancedEdges::build(&org, &sp, 0.3, 4, 9);
+        let serial = EnhancedEdges::build(&org, &sp, 0.3, 1);
+        let parallel = EnhancedEdges::build(&org, &sp, 0.3, 4);
         assert_eq!(serial.n_edges, parallel.n_edges);
         for a in 0..org.nodes.len() as u32 {
             for b in a + 1..org.nodes.len() as u32 {
@@ -254,7 +248,7 @@ mod tests {
         let (sp, org) = setup(12, 11);
         let eps = 0.3;
         let ctree = CompressedTree::from_partition_tree(&org);
-        let edges = EnhancedEdges::build(&org, &sp, eps, 1, 3);
+        let edges = EnhancedEdges::build(&org, &sp, eps, 1);
 
         struct Direct<'a>(&'a dyn SiteSpace);
         impl PairDistanceResolver for Direct<'_> {
@@ -332,7 +326,7 @@ mod tests {
             vec![vec![0], vec![1, 2]],
             r0,
         );
-        let edges = EnhancedEdges::build(&org, &sp, eps, 1, 5);
+        let edges = EnhancedEdges::build(&org, &sp, eps, 1);
         assert_eq!(
             edges.get(1, 2),
             Some(d01),
@@ -340,7 +334,7 @@ mod tests {
         );
         assert_eq!(edges.n_edges, 1);
 
-        // And the resolver answers it from the hash, not via fallback.
+        // And the resolver answers it from the table, not via fallback.
         let mut r = EnhancedResolver::new(&org, &edges, &sp);
         assert_eq!(r.resolve(0, 1), d01);
         assert_eq!(r.fallbacks, 0, "exact-boundary pair must not fall back to an SSAD");
@@ -350,8 +344,8 @@ mod tests {
     #[test]
     fn threads_zero_is_auto_and_identical() {
         let (sp, org) = setup(10, 7);
-        let auto = EnhancedEdges::build(&org, &sp, 0.3, 0, 9);
-        let serial = EnhancedEdges::build(&org, &sp, 0.3, 1, 9);
+        let auto = EnhancedEdges::build(&org, &sp, 0.3, 0);
+        let serial = EnhancedEdges::build(&org, &sp, 0.3, 1);
         assert_eq!(auto.n_edges, serial.n_edges);
         for a in 0..org.nodes.len() as u32 {
             for b in a + 1..org.nodes.len() as u32 {
@@ -363,7 +357,7 @@ mod tests {
     #[test]
     fn resolver_zero_for_same_site() {
         let (sp, org) = setup(8, 13);
-        let edges = EnhancedEdges::build(&org, &sp, 0.5, 1, 1);
+        let edges = EnhancedEdges::build(&org, &sp, 0.5, 1);
         let mut r = EnhancedResolver::new(&org, &edges, &sp);
         assert_eq!(r.resolve(3, 3), 0.0);
     }

@@ -30,7 +30,7 @@ pub(crate) struct Counters {
     pub(crate) busy_rejections: Arc<Counter>,
     pub(crate) malformed: Arc<Counter>,
     pub(crate) errors: Arc<Counter>,
-    /// Node-pair hash probes performed by oracle batch answers
+    /// Node-pair table probes performed by oracle batch answers
     /// (`ProbeStats::probes` summed per batch; for atlases, over every
     /// tile-oracle leg).
     pub(crate) probe_pairs: Arc<Counter>,

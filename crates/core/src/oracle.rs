@@ -8,13 +8,13 @@ use crate::tree::{PartitionTree, SelectionStrategy, TreeError, NO_NODE};
 use crate::wspd::{self, PairDistanceResolver};
 use geodesic::cache::CachingSiteSpace;
 use geodesic::sitespace::SiteSpace;
-use phash::{pair_key, PerfectMap};
+use phash::{pair_key, PairTable};
 use std::time::Duration;
 
 /// How node-pair distances are obtained during construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConstructionMethod {
-    /// Enhanced-edge pre-computation + `O(h)` hash walks (§3.5 "Efficient
+    /// Enhanced-edge pre-computation + `O(h)` table walks (§3.5 "Efficient
     /// Method"): one bounded SSAD per partition-tree node.
     Efficient,
     /// One SSAD per considered node pair (§3.5 "Naive Method"; the paper's
@@ -29,7 +29,7 @@ pub struct BuildConfig {
     pub strategy: SelectionStrategy,
     /// Efficient (enhanced-edge) or naive pair-distance construction.
     pub method: ConstructionMethod,
-    /// RNG seed (point selection, perfect-hash salts).
+    /// RNG seed (point selection).
     pub seed: u64,
     /// Worker threads driving all construction-time SSAD work (partition
     /// tree, enhanced edges). `0` (the default) auto-detects via
@@ -227,8 +227,8 @@ impl std::error::Error for QueryError {}
 /// query ablation ([`SeOracle::distance_naive`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProbeStats {
-    /// Node-pair hash probes performed across the whole batch (for an
-    /// atlas: across every tile-oracle leg).
+    /// Node-pair table probes, one row search each, performed across the
+    /// whole batch (for an atlas: across every tile-oracle leg).
     pub probes: u64,
     /// Endpoints whose layer array was already resident in the two-slot
     /// scratch memo (always 0 on the dense path, which precomputes every
@@ -278,14 +278,14 @@ pub(crate) fn expect_answers<T>(answers: Result<T, QueryError>) -> T {
 /// The Space-Efficient ε-approximate geodesic distance oracle.
 ///
 /// Built over any [`SiteSpace`]; answers site-to-site distance queries in
-/// `O(h)` hash probes with multiplicative error at most ε (Theorem 1).
+/// `O(h)` node-pair probes with multiplicative error at most ε (Theorem 1).
 pub struct SeOracle {
     eps: f64,
     ctree: CompressedTree,
     /// `pair_key(node_a, node_b)` → center distance, over compressed-tree
-    /// node ids; the node pair set of §3.3 under perfect hashing, each
-    /// unordered pair stored once under its canonical key.
-    pairs: PerfectMap<f64>,
+    /// node ids; the node pair set of §3.3, each unordered pair stored once
+    /// under its canonical key, in the row of its smaller node.
+    pairs: PairTable,
     stats: BuildStats,
 }
 
@@ -325,7 +325,7 @@ impl SeOracle {
         let set = match cfg.method {
             ConstructionMethod::Efficient => {
                 let span_enh = obs::trace::timed("build", "enhanced-edges");
-                let edges = EnhancedEdges::build(&org, &space, eps, workers, cfg.seed);
+                let edges = EnhancedEdges::build(&org, &space, eps, workers);
                 stats.enhanced = span_enh.finish();
                 stats.ssad_runs += edges.ssad_runs;
 
@@ -361,7 +361,7 @@ impl SeOracle {
 
         let entries: Vec<(u64, f64)> =
             set.pairs.iter().map(|p| (pair_key(p.a, p.b), p.dist)).collect();
-        let pairs = PerfectMap::build(entries, cfg.seed ^ 0x9A12_5EED);
+        let pairs = PairTable::new(ctree.n_nodes(), entries);
         let cache = space.stats();
         stats.cache_hits = cache.hits;
         stats.cache_misses = cache.misses;
@@ -402,23 +402,21 @@ impl SeOracle {
         &self.ctree
     }
 
-    /// Iterates the stored node pairs as `(pair key, distance)` — the
-    /// oracle's entire queryable payload besides the tree (used by
-    /// [`crate::persist`]). Keys are canonical [`phash::pair_key`]s: each
-    /// unordered pair appears once, its smaller node id in the high half.
+    /// Iterates the stored node pairs as `(pair key, distance)` in
+    /// ascending key order — the oracle's entire queryable payload besides
+    /// the tree (used by [`crate::persist`]). Keys are canonical
+    /// [`phash::pair_key`]s: each unordered pair appears once, its smaller
+    /// node id in the high half.
     pub fn pair_entries(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
-        self.pairs.iter().map(|(k, &v)| (k, v))
+        self.pairs.iter()
     }
 
     /// Reassembles an oracle from a compressed tree and its node-pair
     /// entries (the inverse of [`Self::tree`] + [`Self::pair_entries`];
-    /// used when deserializing). The perfect hash is rebuilt from `seed`.
-    pub(crate) fn from_parts(
-        eps: f64,
-        ctree: CompressedTree,
-        entries: Vec<(u64, f64)>,
-        seed: u64,
-    ) -> Self {
+    /// used when deserializing). The entries fill the pair table directly:
+    /// in one pass when they arrive in ascending key order, as a loaded
+    /// image's do. Every key must name two nodes of `ctree`, at most once.
+    pub(crate) fn from_parts(eps: f64, ctree: CompressedTree, entries: Vec<(u64, f64)>) -> Self {
         let stats = BuildStats {
             stored_pairs: entries.len(),
             compressed_nodes: ctree.n_nodes(),
@@ -426,7 +424,7 @@ impl SeOracle {
             r0: ctree.r0,
             ..Default::default()
         };
-        let pairs = PerfectMap::build(entries, seed);
+        let pairs = PairTable::new(ctree.n_nodes(), entries);
         Self { eps, ctree, pairs, stats }
     }
 
@@ -488,8 +486,8 @@ impl SeOracle {
     /// (no allocation per pair; runs sharing an endpoint in either role
     /// recompute nothing), and batches with at least as many pairs as the
     /// oracle has sites switch to a dense table of **all** layer arrays —
-    /// one tree pass, then every pair is pure hash probes. The dense table
-    /// is `n·(h+1)·4` bytes, which the `pairs.len() ≥ n` gate keeps
+    /// one tree pass, then every pair is pure pair-table probes. The dense
+    /// table is `n·(h+1)·4` bytes, which the `pairs.len() ≥ n` gate keeps
     /// proportional to the batch itself.
     pub fn distance_many_checked_with_stats(
         &self,
@@ -564,7 +562,7 @@ impl SeOracle {
         let root = self.ctree.root;
         let mut get = |x: u32, y: u32| {
             *probes += 1;
-            self.pairs.get(pair_key(x, y)).copied()
+            self.pairs.get(x, y)
         };
         // Lemma 3: a stored pair's higher node sits no higher than the
         // lower node's parent.
@@ -609,7 +607,7 @@ impl SeOracle {
             for &na in a.iter().filter(|&&x| x != NO_NODE) {
                 for &nb in b.iter().filter(|&&x| x != NO_NODE) {
                     stats.probes += 1;
-                    if let Some(&d) = self.pairs.get(pair_key(na, nb)) {
+                    if let Some(d) = self.pairs.get(na, nb) {
                         return Ok((d, stats));
                     }
                 }
@@ -619,8 +617,10 @@ impl SeOracle {
         expect_answers(answer)
     }
 
-    /// Oracle size: compressed tree + node-pair perfect hash (what a
-    /// serialized oracle would occupy; construction scaffolding excluded).
+    /// Oracle size in memory: compressed tree + node-pair table
+    /// (construction scaffolding excluded). It depends only on the tree and
+    /// the number of stored pairs, so an oracle and every reload of its
+    /// image report the same size.
     pub fn storage_bytes(&self) -> usize {
         self.ctree.storage_bytes() + self.pairs.storage_bytes()
     }
@@ -951,7 +951,7 @@ mod tests {
         let path = |x: usize| o.ctree.path_to_root(o.ctree.leaf_of_site[x]);
         let (ps, pt) = (path(s), path(t));
         let mut found = ps.iter().flat_map(|&x| pt.iter().map(move |&y| (x, y)));
-        found.find(|&(x, y)| o.pairs.get(pair_key(x, y)).is_some()).expect("built oracle")
+        found.find(|&(x, y)| o.pairs.get(x, y).is_some()).expect("built oracle")
     }
 
     /// `o` with its pair entries edited by `edit`, rebuilt as a loaded
@@ -959,7 +959,7 @@ mod tests {
     fn with_entries(o: &SeOracle, edit: impl FnOnce(&mut Vec<(u64, f64)>)) -> SeOracle {
         let mut entries: Vec<(u64, f64)> = o.pair_entries().collect();
         edit(&mut entries);
-        SeOracle::from_parts(o.eps, o.ctree.clone(), entries, 7)
+        SeOracle::from_parts(o.eps, o.ctree.clone(), entries)
     }
 
     fn all_pairs(n: usize) -> Vec<(u32, u32)> {

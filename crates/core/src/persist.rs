@@ -4,10 +4,10 @@
 //! The paper's "oracle size" measurement is exactly what a deployment would
 //! write to disk: the compressed partition tree plus the node-pair set.
 //! This module serializes those two components (everything a query needs)
-//! in a flat little-endian format; the perfect hash is *rebuilt* on load
-//! from the stored entries, which costs expected `O(pairs)` — the same
-//! complexity as reading them — and keeps hash-function internals out of
-//! the format, so the on-disk layout survives hashing changes.
+//! in a flat little-endian format. The pair set is stored as its keys and
+//! values only; a load fills the in-memory [`phash::PairTable`] from them
+//! (in one pass for a v3 image, whose keys arrive in ascending order), so
+//! the on-disk layout is independent of the in-memory index.
 //!
 //! Both image kinds share one **frame**: a 4-byte magic, an explicit
 //! format-version word, the payload length, the payload, and an FNV-1a
@@ -56,10 +56,10 @@
 //! checksum u64           FNV-1a over the payload bytes
 //! ```
 //!
-//! The portal graph is *rebuilt* on load from the per-tile tables — same
-//! rationale as the perfect hash. Loading validates every structural
-//! invariant (nested images, membership tables, portal ids, routability)
-//! before returning.
+//! The portal graph is *rebuilt* on load from the per-tile tables, so it,
+//! too, is an in-memory index the format does not fix. Loading validates
+//! every structural invariant (nested images, membership tables, portal
+//! ids, routability) before returning.
 //!
 //! # Compact images: `SEOR` v3, `SEAT` v2
 //!
@@ -89,7 +89,8 @@
 //!
 //! Each key is `phash::pair_key(a, b)`: node ids `a ≤ b`, `a` in the high
 //! half, one key per unordered node pair. A v3 load rejects any key with
-//! `a > b` as corrupt.
+//! `a > b` as corrupt. Every load, of any version, rejects a key naming a
+//! node id at or past the node count.
 //!
 //! `SEOR` v2 is the same layout, but its keys are ordered and every pair
 //! `⟨a, b⟩` is also stored as its mirror `⟨b, a⟩`, as in v1. A v1 or v2
@@ -153,9 +154,6 @@ pub const ATLAS_VERSION: u32 = 1;
 /// out-of-core–servable layout) — what [`Atlas::save_to_compact`] writes.
 /// Loaders accept both versions.
 pub const ATLAS_VERSION_COMPACT: u32 = 2;
-/// Salt for the rebuilt perfect hash; any value works, a fixed one keeps
-/// loads deterministic.
-const REBUILD_SEED: u64 = 0x5E0A_AC1E_0F11_E5ED;
 /// Hard cap on the stored tree height `h`. The paper reports `h < 30` on
 /// every dataset; `h + 1` sizes each per-query layer array, so an
 /// image-supplied height must not be an allocation amplifier.
@@ -401,9 +399,8 @@ impl SeOracle {
     }
 
     /// The v3 payload: struct-of-arrays varint streams plus qtables, with
-    /// pair keys sorted ascending and delta-encoded (sorting makes the
-    /// encoding canonical — a decode/re-encode round trip is
-    /// byte-identical regardless of hash iteration order).
+    /// pair keys ascending (the pair table's iteration order) and
+    /// delta-encoded, so a decode/re-encode round trip is byte-identical.
     fn payload_compact(&self, compress: bool) -> Vec<u8> {
         let t = self.tree();
         let mut p: Vec<u8> = Vec::with_capacity(64 + 8 * t.n_nodes() + 6 * self.n_pairs());
@@ -427,15 +424,13 @@ impl SeOracle {
         for &leaf in &t.leaf_of_site {
             write_varint(&mut p, leaf as u64);
         }
-        let mut pairs: Vec<(u64, f64)> = self.pair_entries().collect();
-        pairs.sort_unstable_by_key(|&(k, _)| k);
-        p.extend_from_slice(&(pairs.len() as u64).to_le_bytes());
+        p.extend_from_slice(&(self.n_pairs() as u64).to_le_bytes());
         let mut prev = 0u64;
-        for (i, &(k, _)) in pairs.iter().enumerate() {
-            write_varint(&mut p, if i == 0 { k } else { k - prev });
+        for (k, _) in self.pair_entries() {
+            write_varint(&mut p, k - prev);
             prev = k;
         }
-        let dists: Vec<f64> = pairs.iter().map(|&(_, d)| d).collect();
+        let dists: Vec<f64> = self.pair_entries().map(|(_, d)| d).collect();
         write_qtable(&mut p, &dists, compress);
         p
     }
@@ -680,7 +675,8 @@ struct OracleParts {
 }
 
 /// Rebuilds children lists, validates every tree invariant (root, parent
-/// layering, leaf mapping, key distinctness), and constructs the oracle.
+/// layering, leaf mapping) and every pair key (both node ids in range,
+/// distinct keys), and constructs the oracle.
 fn assemble_oracle(parts: OracleParts) -> Result<SeOracle, PersistError> {
     let OracleParts { eps, r0, h, root, mut nodes, leaf_of_site, mut entries, ordered_keys } =
         parts;
@@ -712,12 +708,21 @@ fn assemble_oracle(parts: OracleParts) -> Result<SeOracle, PersistError> {
             return Err(PersistError::Corrupt("leaf_of_site mapping broken"));
         }
     }
+    // Before the pair table is built: its rows are indexed by node id, and
+    // a key past them is a construction-time panic.
+    let names_missing_node = |k: u64| {
+        let (a, b) = unpair_key(k);
+        a.max(b) as usize >= n_nodes
+    };
+    if entries.iter().any(|&(k, _)| names_missing_node(k)) {
+        return Err(PersistError::Corrupt("node-pair key names a missing node"));
+    }
     if ordered_keys {
         canonicalise_ordered(&mut entries)?;
     }
 
     let ctree = CompressedTree { nodes, root, r0, h, leaf_of_site };
-    Ok(SeOracle::from_parts(eps, ctree, entries, REBUILD_SEED))
+    Ok(SeOracle::from_parts(eps, ctree, entries))
 }
 
 /// Re-keys a v1 or v2 image's ordered entries canonically, in place, with
@@ -727,7 +732,7 @@ fn assemble_oracle(parts: OracleParts) -> Result<SeOracle, PersistError> {
 ///   `(a, b)` with the value stored under `(a, b)` (a Naive-method build
 ///   could store mirrors that differ in the last bits);
 /// - a lone `(b, a)` is re-keyed to `(a, b)`;
-/// - two equal stored keys are `Corrupt`, as the perfect-hash rebuild needs
+/// - two equal stored keys are `Corrupt`, as the pair table needs
 ///   distinct keys (duplicates are a construction-time panic, which bytes
 ///   from disk must never reach);
 /// - keys that pair distinct nodes but are all canonical already are
@@ -1466,7 +1471,7 @@ mod tests {
         let at = entries.iter().position(|&(k, _)| unpair_key(k).0 != unpair_key(k).1).unwrap();
         let (a, b) = unpair_key(entries[at].0);
         entries[at].0 = ordered_key(b, a);
-        let hostile = SeOracle::from_parts(o.epsilon(), o.tree().clone(), entries, 7);
+        let hostile = SeOracle::from_parts(o.epsilon(), o.tree().clone(), entries);
         let bytes = hostile.save_bytes_compact(false);
         assert_eq!(version_word(&bytes), ORACLE_VERSION_COMPACT);
         assert!(matches!(
@@ -1480,6 +1485,42 @@ mod tests {
             SeOracle::load_bytes(&relabelled),
             Err(PersistError::Corrupt("ordered node-pair keys without mirrors"))
         ));
+    }
+
+    /// A checksum-valid v3 image of a one-node, one-site oracle whose only
+    /// pair key is `key`.
+    fn one_node_image(key: u64) -> Vec<u8> {
+        let mut p = Vec::new();
+        p.extend_from_slice(&0.5f64.to_le_bytes()); // ε
+        p.extend_from_slice(&0.0f64.to_le_bytes()); // r0
+        p.extend_from_slice(&0u32.to_le_bytes()); // h
+        p.extend_from_slice(&0u32.to_le_bytes()); // root
+        p.extend_from_slice(&1u32.to_le_bytes()); // node count
+        for v in [0, 0, u64::from(NO_NODE)] {
+            write_varint(&mut p, v); // center, layer, parent
+        }
+        write_qtable(&mut p, &[0.0], false); // radii
+        p.extend_from_slice(&1u32.to_le_bytes()); // site count
+        write_varint(&mut p, 0); // leaf_of_site
+        p.extend_from_slice(&1u64.to_le_bytes()); // pair count
+        write_varint(&mut p, key);
+        write_qtable(&mut p, &[1.0], false);
+        framed(MAGIC, ORACLE_VERSION_COMPACT, p)
+    }
+
+    #[test]
+    fn v3_rejects_a_key_naming_a_missing_node() {
+        let loaded = SeOracle::load_bytes(&one_node_image(pair_key(0, 0))).unwrap();
+        assert_eq!((loaded.n_pairs(), loaded.distance(0, 0)), (1, 1.0));
+        for key in [pair_key(0, 1), pair_key(1, 1)] {
+            assert!(
+                matches!(
+                    SeOracle::load_bytes(&one_node_image(key)),
+                    Err(PersistError::Corrupt("node-pair key names a missing node"))
+                ),
+                "key {key:#x}"
+            );
+        }
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub struct Neighbor {
 pub struct ProximityStats {
     /// Tree nodes popped from the best-first queue.
     pub nodes_visited: u64,
-    /// Oracle distance evaluations (each `O(h)` hash probes).
+    /// Oracle distance evaluations (each `O(h)` node-pair probes).
     pub distance_evals: u64,
     /// Subtrees accepted wholesale by the upper bound (range/count only).
     pub subtree_accepts: u64,

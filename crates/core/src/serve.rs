@@ -2,7 +2,7 @@
 //! a multi-threaded batch driver.
 //!
 //! A built [`SeOracle`] is immutable — construction freezes the compressed
-//! tree and the node-pair perfect hash, and the query path
+//! tree and the node-pair table, and the query path
 //! ([`SeOracle::distance`] and the batch variants) only reads them; there
 //! is **no interior mutability anywhere on the query path**, which is what
 //! makes concurrent serving sound *and* deterministic (a reader cannot

@@ -1,35 +1,31 @@
-//! FKS-style two-level perfect hashing for `u64` keys.
+//! The SE oracle's node-pair table and pair keys.
 //!
-//! The SE oracle of Wei et al. (SIGMOD 2017) indexes its node-pair set and its
-//! enhanced-edge set with "a standard hashing technique, namely the perfect
-//! hashing scheme" (citing CLRS). This crate provides that substrate: a static
-//! map from `u64` keys to values built in expected linear time that answers
-//! lookups in worst-case constant time with zero collisions.
-//!
-//! # Scheme
-//!
-//! The classic Fredman–Komlós–Szemerédi construction: a first-level universal
-//! hash function distributes the `n` keys into `n` buckets; each bucket with
-//! `b` keys gets a second-level table of size `b²` whose hash function is
-//! re-drawn until it is injective on the bucket. Choosing first-level functions
-//! until `Σ b²  ≤ 4n` keeps total space linear in expectation.
+//! The SE oracle of Wei et al. (SIGMOD 2017) indexes its node-pair set and
+//! its enhanced-edge set with "a standard hashing technique, namely the
+//! perfect hashing scheme" (citing CLRS), so each of the query's `O(h)`
+//! probes costs `O(1)`. This crate departs from that: a [`PairTable`]
+//! stores the pairs as one sorted row per node and answers a probe by a
+//! binary search within one row. Rows are short (a few hundred partners on
+//! a 1,000-site oracle) and cost 12 bytes per pair, so a row search stays
+//! in cache where the dependent loads of a two-level hash, at about 64
+//! bytes per pair, miss. The table needs no hash functions or seeds, and
+//! an image whose keys arrive in ascending order fills it in one pass.
 //!
 //! # Example
 //!
 //! ```
-//! use phash::PerfectMap;
-//! let map = PerfectMap::build(vec![(10u64, "a"), (20, "b"), (7, "c")], 42);
-//! assert_eq!(map.get(20), Some(&"b"));
-//! assert_eq!(map.get(99), None);
-//! assert_eq!(map.len(), 3);
+//! use phash::{pair_key, PairTable};
+//! let table = PairTable::new(4, vec![(pair_key(3, 1), 2.5), (pair_key(0, 2), 1.0)]);
+//! assert_eq!(table.get(1, 3), Some(2.5));
+//! assert_eq!(table.get(3, 1), Some(2.5));
+//! assert_eq!(table.get(0, 1), None);
+//! assert_eq!(table.len(), 2);
 //! ```
 
 #![forbid(unsafe_code)]
-mod map;
-mod universal;
+mod table;
 
-pub use map::PerfectMap;
-pub use universal::{splitmix64, UniversalHash};
+pub use table::PairTable;
 
 /// Packs an unordered pair of 32-bit identifiers into a single `u64` key:
 /// the smaller id in the high half, the larger in the low half.
@@ -48,6 +44,19 @@ pub const fn pair_key(a: u32, b: u32) -> u64 {
 #[inline]
 pub const fn unpair_key(key: u64) -> (u32, u32) {
     ((key >> 32) as u32, key as u32)
+}
+
+/// SplitMix64 step, the standard seed expander: advances `z` by the
+/// golden-ratio increment and finalizes. Exported because every layer
+/// that derives independent deterministic streams from one user seed
+/// (per-center RNGs in β-estimation, per-thread workloads in tests and
+/// examples) needs exactly this mix.
+#[inline]
+pub fn splitmix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //! |---|---|
 //! | [`terrain`] | TIN meshes, synthetic terrain generation, POIs, refinement, OFF I/O |
 //! | [`geodesic`] | exact continuous-Dijkstra SSAD, edge-graph Dijkstra, Steiner graphs |
-//! | [`phash`] | FKS perfect hashing |
+//! | [`phash`] | the node-pair table (one sorted row per node) and pair keys |
 //! | [`oracle`] (crate `se-oracle`) | partition tree, WSPD node pairs, SE construction & queries, A2A, β estimation, tiled atlas + portal routing |
 //! | [`baselines`] | SP-Oracle and K-Algo |
 //!

@@ -172,7 +172,7 @@ fn metrics_verb_agrees_with_the_client_ledger() {
     assert_eq!(metric(&text, "serve_connections_total"), 1);
     assert_eq!(metric(&text, "serve_batches_total"), served);
     // Query-path probe telemetry: every answered pair costs at least one
-    // node-pair hash probe (counted without any clock on the query path).
+    // node-pair table probe (counted without any clock on the query path).
     let probes = metric(&text, "serve_probe_pairs_total");
     assert!(probes >= pairs, "probes {probes} < pairs {pairs}");
     // The batch-size histogram is registered and counted batches.
