@@ -26,6 +26,17 @@
 //!   the home tile's oracle and `π` a Dijkstra run over the portal graph
 //!   seeded with every source-tile portal at once.
 //!
+//! A batch is answered in **tile-affine order**: pairs grouped by their
+//! unordered home-tile pair, each answer written back to its input slot.
+//! Every tile access goes through a per-batch pin set holding the `Arc`s
+//! of the three tiles used most recently — a pair's two home tiles plus
+//! the shared tile its direct answer used — so a batch pins at most three
+//! tiles, and an out-of-core atlas ([`Atlas::open_out_of_core`]) reaches
+//! its tile store when a group needs a tile it has not pinned, not once
+//! per leg of every pair (the piece-paging discipline of
+//! Kawarabayashi–Klein–Sommer: keep the pieces in use in hand, page each
+//! in once). Answers are element-wise, so the order changes no answer.
+//!
 //! # Accuracy (the ε_route bound)
 //!
 //! Every leg is a geodesic **path length on a sub-surface**, so the atlas
@@ -244,8 +255,10 @@ impl AtlasTile {
 /// loaded) or behind the out-of-core [`TileStore`], which decodes tile
 /// segments on demand under a resident-byte budget. Query code touches
 /// tiles only through [`Atlas::tile`], which hands out an [`Arc`] either
-/// way — a query pins the tiles it is using, so eviction never invalidates
-/// an answer in flight.
+/// way. A batch keeps the `Arc`s of at most three tiles in its pin set
+/// ([`RouteScratch::tile`]), so eviction never invalidates an answer in
+/// flight; decoded memory beyond the store's budget is at most three
+/// pinned tiles per batch in flight.
 enum TileSet {
     Resident(Vec<Arc<AtlasTile>>),
     Store(TileStore),
@@ -596,7 +609,9 @@ impl Atlas {
     /// store, which may decode the segment (a miss) and evict others —
     /// the returned `Arc` keeps this tile's data alive for the caller
     /// regardless, so mid-query eviction cannot invalidate it. A segment
-    /// that no longer reads is [`QueryError::TileUnavailable`].
+    /// that no longer reads is [`QueryError::TileUnavailable`]. Distance
+    /// batches call it through their pin set ([`RouteScratch::tile`]),
+    /// only for a tile the batch has not pinned.
     pub(crate) fn tile(&self, t: usize) -> Result<Arc<AtlasTile>, QueryError> {
         match &self.tiles {
             TileSet::Resident(v) => Ok(Arc::clone(&v[t])),
@@ -641,6 +656,15 @@ impl Atlas {
     /// tile leg's [`ProbeStats`] add into the batch total. The routing
     /// scratch (distance labels, heap) is allocated once per batch and
     /// reset after every pair, so answers never depend on batch history.
+    ///
+    /// Pairs are answered grouped by their unordered home-tile pair
+    /// (input order within a group) and written back in input order.
+    /// Every tile access goes through the batch's pin set, the `Arc`s of
+    /// the three tiles used most recently, so a batch pins at most three
+    /// tiles and an out-of-core atlas reaches its store only when a group
+    /// needs a tile it has not pinned. The error is still the first
+    /// failing pair in input order: once a pair fails, only pairs at
+    /// lower input indices are answered.
     pub fn distance_many_checked_with_stats(
         &self,
         pairs: &[(u32, u32)],
@@ -651,8 +675,10 @@ impl Atlas {
 
     /// [`Self::distance_many`] sharded across `threads` pool workers
     /// (`0` = auto-detect): results in input order, bit-identical for
-    /// every thread count, each shard with its own routing scratch. An
-    /// empty slice returns immediately without touching the pool.
+    /// every thread count. Each shard runs the kernel's home-tile-pair
+    /// order over its own routing scratch and pin set, so a call pins at
+    /// most three tiles per worker. An empty slice returns immediately
+    /// without touching the pool.
     ///
     /// Panics exactly as [`Self::distance_many`] does — ids are checked
     /// up front, so an out-of-range panic fires on the caller's thread.
@@ -663,15 +689,40 @@ impl Atlas {
     }
 
     /// Answers range-checked pairs over one reused routing scratch — the
-    /// one loop over pairs every atlas distance entry point runs.
+    /// one loop over pairs every atlas distance entry point runs — in the
+    /// home-tile-pair order the kernel documents, each answer written to
+    /// its input slot. Answers are element-wise, so the order changes
+    /// neither them nor the [`ProbeStats`] sums. Once a pair fails, only
+    /// lower input indices still run, so the error is the input-order
+    /// loop's.
     fn route_pairs(&self, pairs: &[(u32, u32)]) -> Result<(Vec<f64>, ProbeStats), QueryError> {
+        let mut order: Vec<(u32, u32, usize)> = pairs
+            .iter()
+            .enumerate()
+            .map(|(i, &(s, t))| {
+                let (hs, ht) = (self.site_home[s as usize], self.site_home[t as usize]);
+                (hs.min(ht), hs.max(ht), i)
+            })
+            .collect();
+        order.sort_unstable();
         let mut scratch = RouteScratch::new(self.n_portals);
         let mut stats = ProbeStats::default();
-        let mut out = Vec::with_capacity(pairs.len());
-        for &(s, t) in pairs {
-            out.push(self.answer(s as usize, t as usize, &mut scratch, &mut stats)?.0);
+        let mut out = vec![0.0; pairs.len()];
+        let mut failed: Option<(usize, QueryError)> = None;
+        for (_, _, i) in order {
+            if failed.is_some_and(|(f, _)| f < i) {
+                continue;
+            }
+            let (s, t) = pairs[i];
+            match self.answer(s as usize, t as usize, &mut scratch, &mut stats) {
+                Ok((d, _)) => out[i] = d,
+                Err(e) => failed = Some((i, e)),
+            }
         }
-        Ok((out, stats))
+        match failed {
+            Some((_, e)) => Err(e),
+            None => Ok((out, stats)),
+        }
     }
 
     /// One range-checked pair: the distance and what realised it — the
@@ -695,7 +746,7 @@ impl Atlas {
                 Ordering::Greater => j += 1,
                 Ordering::Equal => {
                     let (tile, a, b) = (ms[i].0 as usize, ms[i].1, mt[j].1);
-                    let d = self.leg(&*self.tile(tile)?, &[(a, b)], (s, t), stats)?[0];
+                    let d = self.leg(scratch.tile(self, tile)?, &[(a, b)], (s, t), stats)?[0];
                     if d < best.0 {
                         best = (d, Some(Via::Tile { tile, a, b }));
                     }
@@ -758,8 +809,8 @@ impl Atlas {
         scratch: &mut RouteScratch,
         stats: &mut ProbeStats,
     ) -> Result<Option<(f64, u32)>, QueryError> {
-        let src = self.tile(ts)?;
-        let dst = self.tile(tt)?;
+        let src = Arc::clone(scratch.tile(self, ts)?);
+        let dst = Arc::clone(scratch.tile(self, tt)?);
         debug_assert!(scratch.heap.is_empty() && scratch.touched.is_empty());
 
         // Both endpoint legs first, so a failing leg returns before the
@@ -1028,9 +1079,20 @@ impl fmt::Debug for Atlas {
 /// site rather than by a graph edge.
 const SEEDED: u32 = u32::MAX;
 
-/// Dijkstra + endpoint-leg scratch, reused across a batch (allocated once,
-/// fully reset after every query).
+/// Tiles a batch keeps pinned: a pair's two home tiles plus the shared
+/// tile its direct answer used. With two, a pair answered from a guest
+/// tile (shared by both sites, home to neither) evicts a home tile in the
+/// middle of its group.
+const PIN_TILES: usize = 3;
+
+/// Dijkstra + endpoint-leg scratch and the batch's tile pin set, reused
+/// across a batch (allocated once; the routing state is fully reset after
+/// every query, the pins persist for the batch).
 struct RouteScratch {
+    /// The [`PIN_TILES`] tiles used most recently, most recent first:
+    /// every tile access of [`Atlas::answer`] and [`Atlas::route`] goes
+    /// through [`Self::tile`].
+    pins: Vec<(usize, Arc<AtlasTile>)>,
     /// Tentative portal distances, `INFINITY` when untouched.
     dist: Vec<f64>,
     /// The portal (or [`SEEDED`]) whose relaxation set each label. Only
@@ -1054,6 +1116,7 @@ struct RouteScratch {
 impl RouteScratch {
     fn new(n_portals: usize) -> Self {
         Self {
+            pins: Vec::with_capacity(PIN_TILES),
             dist: vec![f64::INFINITY; n_portals],
             prev: vec![SEEDED; n_portals],
             touched: Vec::new(),
@@ -1061,6 +1124,25 @@ impl RouteScratch {
             pairs: Vec::new(),
             dst_mark: vec![false; n_portals],
         }
+    }
+
+    /// Tile `t` of `atlas`, from the pin set when pinned; otherwise
+    /// fetched through [`Atlas::tile`] and pinned in place of the least
+    /// recently used pin.
+    fn tile(&mut self, atlas: &Atlas, t: usize) -> Result<&Arc<AtlasTile>, QueryError> {
+        let k = match self.pins.iter().position(|&(p, _)| p == t) {
+            Some(k) => k,
+            None => {
+                let tile = atlas.tile(t)?;
+                self.pins.truncate(PIN_TILES - 1);
+                self.pins.push((t, tile));
+                self.pins.len() - 1
+            }
+        };
+        if k > 0 {
+            self.pins[..=k].rotate_right(1);
+        }
+        Ok(&self.pins[0].1)
     }
 
     #[inline]
@@ -1352,6 +1434,54 @@ mod tests {
             a.distance_many_checked_with_stats(&[(s as u32, t as u32)]),
             Err(QueryError::NoRoute { s, t })
         );
+    }
+
+    #[test]
+    fn batch_error_is_the_first_failing_pair_in_input_order() {
+        // Tile-affine order visits pairs by home-tile pair, but the error
+        // must stay the input-order loop's. A site homed in tile 0 loses
+        // its home membership, so each of its cross-tile pairs fails; the
+        // one at the lower input index sorts after the other.
+        let (a, _, sites) = atlas(24, 3, 0.25);
+        let n = sites.len();
+        let homed = |tile: usize| (0..n).find(|&x| a.tile_of_site(x) == tile);
+        let s = homed(0).unwrap();
+        // Sites homed in other tiles, ascending by home tile.
+        let far: Vec<usize> = (1..a.n_tiles()).filter_map(homed).collect();
+        assert!(far.len() >= 2, "the fixture must home sites in two other tiles");
+        let (near, late) = (far[0], far[far.len() - 1]);
+        // A valid pair whose home-tile pair sorts last of the three.
+        let u = homed(a.n_tiles() - 1).unwrap();
+        let batch = [(u as u32, u as u32), (s as u32, late as u32), (s as u32, near as u32)];
+
+        let path = std::env::temp_dir()
+            .join(format!("terrain-oracle-atlas-first-error-{}.seat", std::process::id()));
+        std::fs::write(&path, a.save_bytes_compact(false)).unwrap();
+        let mut ooc = Atlas::open_out_of_core(&path, 0).unwrap();
+        let mut resident = a;
+        for atlas in [&mut resident, &mut ooc] {
+            let home = atlas.site_home[s];
+            atlas.site_members[s].retain(|&(tile, _)| tile != home);
+            assert_eq!(
+                atlas.distance_many_checked_with_stats(&batch),
+                Err(QueryError::NoRoute { s, t: late })
+            );
+        }
+        // An out-of-range id is still rejected before any tile work: the
+        // store is not reached at all.
+        let accesses = |a: &Atlas| {
+            let st = a.tile_store().unwrap().stats();
+            st.hits + st.misses
+        };
+        let before = accesses(&ooc);
+        let mut bad = batch.to_vec();
+        bad.push((0, n as u32));
+        assert_eq!(
+            ooc.distance_many_checked_with_stats(&bad),
+            Err(QueryError::SiteOutOfRange { index: 3, site: n as u32, n_sites: n })
+        );
+        assert_eq!(accesses(&ooc), before, "the range check must precede every tile access");
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -22,10 +22,10 @@
 //! out-of-core atlas backend ([`crate::tilestore::TileStore`], opened via
 //! [`crate::Atlas::open_out_of_core`]): its LRU residency cache mutates
 //! under queries, but tiles decode to the same bytes no matter when they
-//! are (re)loaded and queries pin the tiles they touch via `Arc`, so
-//! answers remain bit-identical to a fully resident atlas for any budget,
-//! thread count, and eviction schedule. Eviction order uses query-ordinal
-//! ticks, never a clock.
+//! are (re)loaded and each batch pins at most three tiles via `Arc` (the
+//! three it used most recently), so answers remain bit-identical to a
+//! fully resident atlas for any budget, thread count, and eviction
+//! schedule. Eviction order uses query-ordinal ticks, never a clock.
 
 // lint: query-path
 use crate::oracle::{ProbeStats, QueryError, SeOracle};

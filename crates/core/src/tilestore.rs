@@ -3,9 +3,12 @@
 //! A [`TileStore`] keeps one open handle on a `SEAT` image (v1 or v2) and
 //! decodes tile segments on demand, holding at most `resident_budget`
 //! decoded bytes in memory. [`crate::Atlas::open_out_of_core`] routes every
-//! tile access through `TileStore::tile`, which returns an `Arc` — a
-//! query pins the tiles it touches, so eviction mid-query can never
-//! invalidate data the query still reads.
+//! tile access through `TileStore::tile`, which returns an `Arc`. An atlas
+//! batch keeps the `Arc`s of the three tiles it used most recently in a
+//! pin set and asks the store only for a tile it has not pinned, so
+//! eviction mid-batch never invalidates data the batch still reads, and a
+//! batch holds at most three decoded tiles beyond the budget's resident
+//! set.
 //!
 //! # Validation happens once, at open
 //!

@@ -23,23 +23,27 @@ pub fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// Runs `f(i)` for every `i in 0..n` on up to `threads` scoped workers
-/// (`0` = auto-detect) and returns the results in index order.
+/// Runs `f(i)` for every `i in 0..n` on up to `threads` workers (`0` =
+/// auto-detect) and returns the results in index order.
 ///
+/// The calling thread is one of the workers: it spawns `threads − 1`
+/// scoped threads and runs the same loop itself, so a two-worker batch
+/// pays one thread spawn, not two, and the caller does not sit parked.
 /// Work is distributed through an atomic queue index, so long-running items
 /// do not stall a statically assigned chunk. `f` must be safe to call
 /// concurrently from multiple threads; determinism of the *output* is
 /// guaranteed by ordering alone, so `f` itself must be deterministic per
-/// index for end-to-end reproducibility.
+/// index for end-to-end reproducibility. A panic in `f`, on the caller or
+/// on a spawned worker, propagates to the caller.
 pub fn run_indexed<T, F>(threads: usize, n: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
     let threads = resolve_threads(threads).min(n);
-    // Pool telemetry: one batch, `n` jobs, `threads` workers actually
-    // spawned (0 extra workers on the inline path). Counting happens once
-    // per batch, off every job's hot path.
+    // Pool telemetry: one batch, `n` jobs, `threads` workers that ran —
+    // the calling thread included (0 on the inline path). Counting happens
+    // once per batch, off every job's hot path.
     let reg = obs::global();
     reg.counter("geodesic_pool_batches_total").inc();
     reg.counter("geodesic_pool_jobs_total").add(n as u64);
@@ -49,24 +53,25 @@ where
     reg.counter("geodesic_pool_workers_total").add(threads as u64);
 
     let next = AtomicUsize::new(0);
+    let work = || {
+        let mut local = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            local.push((i, f(i)));
+        }
+        local
+    };
     let mut tagged: Vec<(usize, T)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, f(i)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        // lint: allow(panic, "worker panics must propagate to the caller; join fails only on panic")
-        handles.into_iter().flat_map(|h| h.join().expect("construction worker panicked")).collect()
+        let handles: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+        let mut tagged = work();
+        for h in handles {
+            // lint: allow(panic, "worker panics must propagate to the caller; join fails only on panic")
+            tagged.extend(h.join().expect("construction worker panicked"));
+        }
+        tagged
     });
 
     tagged.sort_unstable_by_key(|&(i, _)| i);
@@ -109,6 +114,16 @@ mod tests {
     fn empty_and_tiny_inputs() {
         assert!(run_indexed::<usize, _>(4, 0, |i| i).is_empty());
         assert_eq!(run_indexed(4, 1, |i| i + 1), vec![1]);
+    }
+
+    #[test]
+    fn a_panicking_item_propagates_from_any_worker() {
+        // Whichever worker draws the item — the caller or a spawned
+        // thread — its panic reaches the caller.
+        for bad in 0..8 {
+            let run = std::panic::catch_unwind(|| run_indexed(4, 8, |i| assert_ne!(i, bad)));
+            assert!(run.is_err(), "item {bad}'s panic was swallowed");
+        }
     }
 
     #[test]

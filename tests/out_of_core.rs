@@ -127,6 +127,36 @@ fn single_tile_floor_budget_still_answers_identically() {
 }
 
 #[test]
+fn floor_budget_batches_reach_the_store_per_group_not_per_pair() {
+    // A batch is answered grouped by home-tile pair over a three-tile pin
+    // set, so the store sees one access per tile a group newly needs, not
+    // one per leg of every pair. Budget 0 keeps one tile resident, so
+    // every access that leaves the pin set is a miss at worst.
+    let atlas = level6_atlas();
+    let path = write_image("v1-grouped", LEVEL6_V1);
+    let pairs = workload(atlas.n_sites());
+    let want: Vec<u64> = atlas.distance_many(&pairs).into_iter().map(f64::to_bits).collect();
+
+    for (batch, bound) in [(64, pairs.len() / 4), (pairs.len(), 64)] {
+        let ooc = Atlas::open_out_of_core(&path, 0).unwrap();
+        let got: Vec<u64> = pairs
+            .chunks(batch)
+            .flat_map(|chunk| ooc.distance_many(chunk))
+            .map(f64::to_bits)
+            .collect();
+        assert_eq!(want, got, "{batch}-pair batches diverged from the resident run");
+        let stats = ooc.tile_store().unwrap().stats();
+        assert_eq!(stats.loads, stats.misses);
+        assert!(
+            stats.hits + stats.misses <= bound as u64,
+            "{batch}-pair batches made {} store accesses for {} pairs (bound {bound})",
+            stats.hits + stats.misses,
+            pairs.len()
+        );
+    }
+}
+
+#[test]
 fn gauges_and_counters_reconcile_in_the_registry() {
     let path = write_image("v1-metrics", LEVEL6_V1);
     let ooc = Atlas::open_out_of_core(&path, usize::MAX).unwrap();
