@@ -23,19 +23,49 @@
 //!   containing both sites — overlap makes near-seam pairs, the worst
 //!   case for portal routing, share a tile — and (b)
 //!   `min over (pᵢ, pⱼ) of d(s, pᵢ) + π(pᵢ, pⱼ) + d(pⱼ, t)` where `d` is
-//!   the home tile's oracle and `π` a Dijkstra run over the portal graph
-//!   seeded with every source-tile portal at once.
+//!   the home tile's oracle and `π` the portal graph's shortest paths.
+//!   (b) is read from **portal labels** computed once per site (below),
+//!   so it reads no tile and runs no heap.
+//!
+//! # Portal labels
+//!
+//! The portal / boundary labelling of Kawarabayashi–Klein–Sommer and
+//! Gu–Xu: each site stores its distances to the portals of its piece, and
+//! a query becomes a few table reads. At [`Atlas::build`], at
+//! [`Atlas::load_from`] and at [`Atlas::open_out_of_core`] every site gets
+//! - its **exit legs**: its home tile oracle's distance to every portal of
+//!   that tile, in the tile's portal order;
+//! - its **reach row**: one Dijkstra over the portal graph seeded with its
+//!   exit legs, the label of every portal (`∞` when unreachable).
+//!
+//! The portal route of `(s, t)` is then `min over t's exit legs k of
+//! reach[s][pₖ] + leg_t[k]`, with a strict `<` in the home tile's portal
+//! order: `|P_t|` additions. A Dijkstra label is a pure function of its
+//! seeds, and that completion adds the same operands in the same order as
+//! a per-query Dijkstra seeded from `s` would, so answers, exit portals and
+//! [`Atlas::shortest_path`] chains are those of routing each pair on its
+//! own. (The factorised `L_s + Π + L_t` would change the float association
+//! and cost `|P_s|·|P_t|` additions per pair.)
+//!
+//! Cost: `n_sites × n_portals × 8` B of reach rows plus 8 B per exit leg,
+//! and a `u32` per site and per tile portal to index them, all resident
+//! for every atlas and charged by [`Atlas::storage_bytes`]. Building them
+//! takes one exit-leg batch per tile and one Dijkstra per site. The reach
+//! rows grow as `n_sites × n_portals`, so at scale they outgrow the portal
+//! graph they summarise. The out-of-core open computes the exit legs in the
+//! pass that validates every tile, so it loads no tile twice.
 //!
 //! A batch is answered in **tile-affine order**: pairs grouped by their
 //! unordered home-tile pair, each answer written back to its input slot.
-//! Every tile access goes through a per-batch pin set holding the `Arc`s
-//! of the three tiles used most recently — a pair's two home tiles plus
-//! the shared tile its direct answer used — so a batch pins at most three
-//! tiles, and an out-of-core atlas ([`Atlas::open_out_of_core`]) reaches
-//! its tile store when a group needs a tile it has not pinned, not once
-//! per leg of every pair (the piece-paging discipline of
-//! Kawarabayashi–Klein–Sommer: keep the pieces in use in hand, page each
-//! in once). Answers are element-wise, so the order changes no answer.
+//! Tiles are read only for direct answers, and every such read goes
+//! through a per-batch pin set holding the `Arc`s of the three tiles used
+//! most recently — a group's two home tiles plus a guest tile both sites
+//! share — so a batch pins at most three tiles, and an out-of-core atlas
+//! ([`Atlas::open_out_of_core`]) reaches its tile store when a group needs
+//! a shared tile it has not pinned, not once per pair (the piece-paging
+//! discipline of Kawarabayashi–Klein–Sommer: keep the small boundary
+//! structure resident, page the pieces in once). Answers are
+//! element-wise, so the order changes no answer.
 //!
 //! # Accuracy (the ε_route bound)
 //!
@@ -59,9 +89,10 @@
 //!
 //! Determinism carries over wholesale: tile builds are byte-identical
 //! across thread counts (inherited from [`SeOracle::build`]), the portal
-//! graph and Dijkstra break ties on `(distance bits, portal id)`, and the
-//! batch/parallel drivers reassemble shard results in input order — an
-//! [`AtlasHandle`] answers bit-identically from any number of threads.
+//! graph and the label Dijkstra break ties on `(distance bits, portal
+//! id)`, and the batch/parallel drivers reassemble shard results in input
+//! order — an [`AtlasHandle`] answers bit-identically from any number of
+//! threads.
 
 // lint: query-path
 use crate::oracle::{
@@ -277,12 +308,9 @@ pub struct Atlas {
     /// fringe memberships) give near-seam pairs a shared tile to answer
     /// from directly.
     site_members: Vec<Vec<(u32, u32)>>,
-    n_portals: usize,
-    /// CSR portal graph: `graph_adj[graph_off[p]..graph_off[p + 1]]` are
-    /// `(neighbour, weight)` edges, ascending by neighbour, min weight per
-    /// neighbour.
-    graph_off: Vec<u32>,
-    graph_adj: Vec<(u32, f64)>,
+    /// The portal graph and the per-site portal labels (boxed: seven
+    /// tables' headers would double the atlas's inline size).
+    routing: Box<PortalRouting>,
     stats: AtlasBuildStats,
     /// Per-tile Steiner path graphs, present only when built with
     /// [`AtlasConfig::path_points_per_edge`].
@@ -351,6 +379,8 @@ impl Atlas {
         let mut vert_site: Vec<BTreeMap<VertexId, u32>> = vec![BTreeMap::new(); n_tiles];
         let mut site_home = vec![0u32; site_vertices.len()];
         let mut site_members: Vec<Vec<(u32, u32)>> = vec![Vec::new(); site_vertices.len()];
+        // Per tile, the local ids of the sites it homes (their exit legs).
+        let mut homed: Vec<Vec<u32>> = vec![Vec::new(); n_tiles];
         for (s, &v) in site_vertices.iter().enumerate() {
             let home = partition.home_tile(mesh.vertex(v));
             if partition.tile(home).local_vertex(v).is_none() {
@@ -364,6 +394,9 @@ impl Atlas {
                 plan.verts.push(local_v);
                 vert_site[t].insert(v, local);
                 site_members[s].push((t as u32, local));
+                if t == home {
+                    homed[t].push(local);
+                }
             }
         }
         for (gid, &pv) in portal_verts.iter().enumerate() {
@@ -388,22 +421,21 @@ impl Atlas {
         let tile_workers = workers.min(n_tiles).max(1);
         let inner_cfg = BuildConfig { threads: (workers / tile_workers).max(1), ..cfg.build };
         let span_oracles = obs::trace::timed("build", "tile-oracles");
-        let built: Vec<Result<(SeOracle, Vec<f64>), BuildError>> =
-            geodesic::pool::run_indexed(tile_workers, n_tiles, |t| {
-                let plan = &plans[t];
-                let engine = make_engine(partition.tile(t).mesh.clone(), engine);
-                let space = VertexSiteSpace::new(engine, plan.verts.clone());
-                let oracle = SeOracle::build(&space, eps, &inner_cfg)?;
-                // The tile's portal–portal table: |P|² oracle queries
-                // through the amortized batch path.
-                let pairs: Vec<(u32, u32)> = plan
-                    .portals
-                    .iter()
-                    .flat_map(|&(_, i)| plan.portals.iter().map(move |&(_, j)| (i, j)))
-                    .collect();
-                let table = oracle.distance_many(&pairs);
-                Ok((oracle, table))
-            });
+        // Per tile: its oracle, its portal table and its exit legs.
+        type TileBuild = Result<(SeOracle, Vec<f64>, Vec<f64>), BuildError>;
+        let built: Vec<TileBuild> = geodesic::pool::run_indexed(tile_workers, n_tiles, |t| {
+            let plan = &plans[t];
+            let engine = make_engine(partition.tile(t).mesh.clone(), engine);
+            let space = VertexSiteSpace::new(engine, plan.verts.clone());
+            let oracle = SeOracle::build(&space, eps, &inner_cfg)?;
+            // The tile's portal–portal table and the exit legs of the
+            // sites it homes: oracle queries through the amortized
+            // batch path.
+            let portal_locals: Vec<u32> = plan.portals.iter().map(|&(_, l)| l).collect();
+            let table = oracle.distance_many(&site_portal_pairs(&plan.portals, &portal_locals));
+            let legs = oracle.distance_many(&site_portal_pairs(&plan.portals, &homed[t]));
+            Ok((oracle, table, legs))
+        });
         let oracles = span_oracles.finish();
 
         // Path graphs must be captured here: the per-tile site lists are
@@ -422,16 +454,19 @@ impl Atlas {
         });
 
         let mut tiles = Vec::with_capacity(n_tiles);
+        let mut legs = Vec::new();
         for (t, (r, plan)) in built.into_iter().zip(plans).enumerate() {
-            let (oracle, portal_table) =
+            let (oracle, portal_table, tile_legs) =
                 r.map_err(|source| AtlasError::Build { tile: t, source })?;
             tiles.push(AtlasTile { oracle, portals: plan.portals, portal_table });
+            legs.extend(tile_legs);
         }
         if let Some(components) = routing_components(&portal_views(&tiles), n_portals) {
             return Err(AtlasError::Unroutable { components });
         }
 
-        let (graph_off, graph_adj) = build_portal_graph(&portal_views(&tiles), n_portals);
+        let routing =
+            Box::new(PortalRouting::new(&portal_views(&tiles), n_portals, &site_home, legs));
         let stats = AtlasBuildStats {
             total: span_total.finish(),
             tiling,
@@ -440,7 +475,7 @@ impl Atlas {
             tile_workers,
             n_tiles,
             n_portals,
-            portal_edges: graph_adj.len(),
+            portal_edges: routing.graph_adj.len(),
             tile_sites: tiles.iter().map(|t| t.oracle.n_sites()).collect(),
         };
         Ok(Self {
@@ -448,17 +483,16 @@ impl Atlas {
             tiles: TileSet::Resident(tiles.into_iter().map(Arc::new).collect()),
             site_home,
             site_members,
-            n_portals,
-            graph_off,
-            graph_adj,
+            routing,
             stats,
             paths,
         })
     }
 
     /// Reassembles an atlas from its persisted parts, re-deriving the
-    /// portal graph (the inverse of what `save_to_compact` writes). Fails
-    /// when the parts cannot route every tile pair.
+    /// portal graph and the portal labels (the inverse of what
+    /// `save_to_compact` writes). Fails when the parts cannot route every
+    /// tile pair or a tile oracle fails an exit leg.
     pub(crate) fn from_parts(
         eps: f64,
         tiles: Vec<AtlasTile>,
@@ -469,11 +503,17 @@ impl Atlas {
         if routing_components(&portal_views(&tiles), n_portals).is_some() {
             return Err("portal graph does not connect every tile");
         }
-        let (graph_off, graph_adj) = build_portal_graph(&portal_views(&tiles), n_portals);
+        let homed = homed_locals(&site_home, &site_members, tiles.len())?;
+        let mut legs = Vec::new();
+        for (tile, homed) in tiles.iter().zip(&homed) {
+            legs.extend(exit_legs(tile, homed)?);
+        }
+        let routing =
+            Box::new(PortalRouting::new(&portal_views(&tiles), n_portals, &site_home, legs));
         let stats = AtlasBuildStats {
             n_tiles: tiles.len(),
             n_portals,
-            portal_edges: graph_adj.len(),
+            portal_edges: routing.graph_adj.len(),
             tile_sites: tiles.iter().map(|t| t.oracle.n_sites()).collect(),
             ..Default::default()
         };
@@ -484,9 +524,7 @@ impl Atlas {
             tiles: TileSet::Resident(tiles.into_iter().map(Arc::new).collect()),
             site_home,
             site_members,
-            n_portals,
-            graph_off,
-            graph_adj,
+            routing,
             stats,
             paths: None,
         })
@@ -502,7 +540,9 @@ impl Atlas {
     /// a query. Works for `SEAT` v1 and v2 images alike; answers are
     /// bit-identical to a fully resident [`Atlas::load_from`] of the same
     /// bytes, for any budget and any eviction schedule (see
-    /// `tests/out_of_core.rs`).
+    /// `tests/out_of_core.rs`). The portal labels are built here too, the
+    /// exit legs in the same validating pass over the tiles, so the open
+    /// loads no tile through the store and leaves its counters at zero.
     ///
     /// The store's hit/miss/load/eviction counters and resident gauges
     /// live in its own registry ([`TileStore::registry`], reached through
@@ -517,11 +557,12 @@ impl Atlas {
         if routing_components(&views, meta.n_portals).is_some() {
             return Err(PersistError::Corrupt("portal graph does not connect every tile"));
         }
-        let (graph_off, graph_adj) = build_portal_graph(&views, meta.n_portals);
+        let routing =
+            Box::new(PortalRouting::new(&views, meta.n_portals, &meta.site_home, meta.exit_legs));
         let stats = AtlasBuildStats {
             n_tiles: store.n_tiles(),
             n_portals: meta.n_portals,
-            portal_edges: graph_adj.len(),
+            portal_edges: routing.graph_adj.len(),
             tile_sites: meta.tile_sites,
             ..Default::default()
         };
@@ -530,9 +571,7 @@ impl Atlas {
             tiles: TileSet::Store(store),
             site_home: meta.site_home,
             site_members: meta.site_members,
-            n_portals: meta.n_portals,
-            graph_off,
-            graph_adj,
+            routing,
             stats,
             paths: None,
         })
@@ -568,7 +607,7 @@ impl Atlas {
 
     /// Number of portals in the routing graph.
     pub fn n_portals(&self) -> usize {
-        self.n_portals
+        self.routing.n_portals()
     }
 
     /// Construction statistics (shape counters only after a reload).
@@ -587,10 +626,13 @@ impl Atlas {
         self.site_home[s] != self.site_home[t]
     }
 
-    /// Atlas size: every tile oracle plus the portal tables and graph.
+    /// Atlas size: every tile oracle plus the portal tables and graph,
+    /// and the portal labels (`n_sites × n_portals × 8` B of reach rows,
+    /// 8 B per exit leg, and their `u32` indexes; see the module docs).
     /// For an out-of-core atlas the tile term is the *full* decoded size
     /// (what a resident load would cost — the resident budget bounds what
-    /// is actually held; see [`TileStore::stats`]).
+    /// is actually held; see [`TileStore::stats`]); the labels are resident
+    /// either way.
     pub fn storage_bytes(&self) -> usize {
         use std::mem::size_of;
         let tile_bytes = match &self.tiles {
@@ -600,8 +642,7 @@ impl Atlas {
         tile_bytes
             + self.site_home.len() * size_of::<u32>()
             + self.site_members.iter().map(|m| m.len() * size_of::<(u32, u32)>()).sum::<usize>()
-            + self.graph_off.len() * size_of::<u32>()
-            + self.graph_adj.len() * size_of::<(u32, f64)>()
+            + self.routing.bytes()
     }
 
     /// The one way query (and persistence) code reaches a tile. Resident
@@ -652,19 +693,22 @@ impl Atlas {
     /// sites (same-home pairs always have one; overlap gives near-seam
     /// pairs one too) and, for cross-home pairs, the portal route. Tile
     /// answers go through each tile oracle's own kernel, so a corrupt tile
-    /// is [`QueryError::NoCoveringPair`] for the pair it failed, and every
-    /// tile leg's [`ProbeStats`] add into the batch total. The routing
-    /// scratch (distance labels, heap) is allocated once per batch and
-    /// reset after every pair, so answers never depend on batch history.
+    /// is [`QueryError::NoCoveringPair`] for the pair it failed, and their
+    /// [`ProbeStats`] add into the batch total. The portal route is read
+    /// from the per-site portal labels (see the module docs): it reads no
+    /// tile, runs no heap and adds no probes, so a cross-home pair that
+    /// shares no tile reports 0 probes and never reaches an out-of-core
+    /// atlas's store.
     ///
     /// Pairs are answered grouped by their unordered home-tile pair
     /// (input order within a group) and written back in input order.
     /// Every tile access goes through the batch's pin set, the `Arc`s of
     /// the three tiles used most recently, so a batch pins at most three
     /// tiles and an out-of-core atlas reaches its store only when a group
-    /// needs a tile it has not pinned. The error is still the first
-    /// failing pair in input order: once a pair fails, only pairs at
-    /// lower input indices are answered.
+    /// needs a tile it has not pinned. The pin set is the batch's only
+    /// scratch, and answers never depend on batch history. The error is
+    /// still the first failing pair in input order: once a pair fails,
+    /// only pairs at lower input indices are answered.
     pub fn distance_many_checked_with_stats(
         &self,
         pairs: &[(u32, u32)],
@@ -676,9 +720,9 @@ impl Atlas {
     /// [`Self::distance_many`] sharded across `threads` pool workers
     /// (`0` = auto-detect): results in input order, bit-identical for
     /// every thread count. Each shard runs the kernel's home-tile-pair
-    /// order over its own routing scratch and pin set, so a call pins at
-    /// most three tiles per worker. An empty slice returns immediately
-    /// without touching the pool.
+    /// order over its own pin set, so a call pins at most three tiles per
+    /// worker. An empty slice returns immediately without touching the
+    /// pool.
     ///
     /// Panics exactly as [`Self::distance_many`] does — ids are checked
     /// up front, so an out-of-range panic fires on the caller's thread.
@@ -688,13 +732,12 @@ impl Atlas {
         expect_answers(answers).0
     }
 
-    /// Answers range-checked pairs over one reused routing scratch — the
-    /// one loop over pairs every atlas distance entry point runs — in the
-    /// home-tile-pair order the kernel documents, each answer written to
-    /// its input slot. Answers are element-wise, so the order changes
-    /// neither them nor the [`ProbeStats`] sums. Once a pair fails, only
-    /// lower input indices still run, so the error is the input-order
-    /// loop's.
+    /// Answers range-checked pairs over one pin set — the one loop over
+    /// pairs every atlas distance entry point runs — in the home-tile-pair
+    /// order the kernel documents, each answer written to its input slot.
+    /// Answers are element-wise, so the order changes neither them nor
+    /// the [`ProbeStats`] sums. Once a pair fails, only lower input
+    /// indices still run, so the error is the input-order loop's.
     fn route_pairs(&self, pairs: &[(u32, u32)]) -> Result<(Vec<f64>, ProbeStats), QueryError> {
         let mut order: Vec<(u32, u32, usize)> = pairs
             .iter()
@@ -705,7 +748,7 @@ impl Atlas {
             })
             .collect();
         order.sort_unstable();
-        let mut scratch = RouteScratch::new(self.n_portals);
+        let mut scratch = RouteScratch::new();
         let mut stats = ProbeStats::default();
         let mut out = vec![0.0; pairs.len()];
         let mut failed: Option<(usize, QueryError)> = None;
@@ -728,7 +771,7 @@ impl Atlas {
     /// One range-checked pair: the distance and what realised it — the
     /// lowest-numbered tile holding both sites on ties, and a direct
     /// answer over an equal portal route, which [`Self::shortest_path`]
-    /// rebuilds a polyline from. Leaves `scratch` reset.
+    /// rebuilds a polyline from. Only shared tiles go through `scratch`.
     fn answer(
         &self,
         s: usize,
@@ -760,9 +803,7 @@ impl Atlas {
             let no_route = QueryError::NoRoute { s, t };
             let ls = local_in(ms, hs).ok_or(no_route)?;
             let lt = local_in(mt, ht).ok_or(no_route)?;
-            let routed =
-                self.route((s, t), (hs as usize, ls), (ht as usize, lt), scratch, stats)?;
-            if let Some((d, exit)) = routed {
+            if let Some((d, exit)) = self.routing.route(s, t, ht as usize) {
                 // Strict `<`: on a tie the direct answer wins.
                 if d < best.0 {
                     best = (d, Some(Via::Portals { ls, lt, exit }));
@@ -794,78 +835,6 @@ impl Atlas {
         Ok(d)
     }
 
-    /// Cross-tile routing from local site `ls` of tile `ts` to `lt` of
-    /// `tt`: seed a portal-graph Dijkstra with every source portal's
-    /// oracle distance from `ls`, settle until every destination portal is
-    /// final, and harvest the best completion through a destination
-    /// portal. Returns that distance and its exit portal (`None` when no
-    /// destination portal is reachable); every label's predecessor stays
-    /// in `scratch` for [`RouteScratch::chain`].
-    fn route(
-        &self,
-        pair: (usize, usize),
-        (ts, ls): (usize, u32),
-        (tt, lt): (usize, u32),
-        scratch: &mut RouteScratch,
-        stats: &mut ProbeStats,
-    ) -> Result<Option<(f64, u32)>, QueryError> {
-        let src = Arc::clone(scratch.tile(self, ts)?);
-        let dst = Arc::clone(scratch.tile(self, tt)?);
-        debug_assert!(scratch.heap.is_empty() && scratch.touched.is_empty());
-
-        // Both endpoint legs first, so a failing leg returns before the
-        // scratch holds any state.
-        scratch.pairs.clear();
-        scratch.pairs.extend(src.portals.iter().map(|&(_, lp)| (ls, lp)));
-        let from_s = self.leg(&src, &scratch.pairs, pair, stats)?;
-        scratch.pairs.clear();
-        scratch.pairs.extend(dst.portals.iter().map(|&(_, lp)| (lt, lp)));
-        let to_t = self.leg(&dst, &scratch.pairs, pair, stats)?;
-
-        for (k, &(gid, _)) in src.portals.iter().enumerate() {
-            scratch.relax(gid, from_s[k], SEEDED);
-        }
-        // Settle until every destination portal is final, then stop — a
-        // settled label equals its full-run value, so the early exit is
-        // bit-identical to settling the whole graph, and the query cost
-        // scales with the source→destination neighbourhood instead of the
-        // atlas's total portal count. Unreachable destination portals keep
-        // `remaining` positive and the loop simply drains the heap.
-        for &(gid, _) in &dst.portals {
-            scratch.dst_mark[gid as usize] = true;
-        }
-        let mut remaining = dst.portals.len();
-        while let Some(Reverse((bits, u))) = scratch.heap.pop() {
-            if bits > scratch.dist[u as usize].to_bits() {
-                continue; // stale entry
-            }
-            if scratch.dst_mark[u as usize] {
-                remaining -= 1;
-                if remaining == 0 {
-                    break;
-                }
-            }
-            let (lo, hi) = (self.graph_off[u as usize], self.graph_off[u as usize + 1]);
-            let du = scratch.dist[u as usize];
-            for &(v, w) in &self.graph_adj[lo as usize..hi as usize] {
-                scratch.relax(v, du + w, u);
-            }
-        }
-        for &(gid, _) in &dst.portals {
-            scratch.dst_mark[gid as usize] = false;
-        }
-
-        let mut best: Option<(f64, u32)> = None;
-        for (k, &(gid, _)) in dst.portals.iter().enumerate() {
-            let via = scratch.dist[gid as usize] + to_t[k];
-            if via < best.map_or(f64::INFINITY, |(d, _)| d) {
-                best = Some((via, gid));
-            }
-        }
-        scratch.reset();
-        Ok(best)
-    }
-
     /// Whether this atlas was built with path support
     /// ([`AtlasConfig::path_points_per_edge`]).
     pub fn has_paths(&self) -> bool {
@@ -887,8 +856,11 @@ impl Atlas {
     /// otherwise the source leg, one leg per portal-graph hop (each
     /// reconstructed inside the tile whose portal table produced that edge
     /// weight), and the destination leg, concatenated at the shared portal
-    /// vertices. Tile sub-meshes keep global coordinates, so the result
-    /// lies on the global surface and its length obeys
+    /// vertices. The portal chain comes from re-running the source's
+    /// label Dijkstra for its predecessors — the run that produced the
+    /// reach row the distance was read from. Tile sub-meshes keep global
+    /// coordinates, so the result lies on the global surface and its
+    /// length obeys
     /// `distance / ((1 + ε)(1 + EPS_ROUTE)) ≤ length ≤ distance × (1 + EPS_PATH)`
     /// under the same engine/portal-density conditions as [`EPS_ROUTE`]
     /// and [`crate::route::EPS_PATH`].
@@ -907,14 +879,14 @@ impl Atlas {
             "atlas has no path layer; build it with AtlasConfig::path_points_per_edge \
              (persisted atlas images answer distances only)",
         );
-        let mut scratch = RouteScratch::new(self.n_portals);
-        let answer = self.answer(s, t, &mut scratch, &mut ProbeStats::default());
+        let answer = self.answer(s, t, &mut RouteScratch::new(), &mut ProbeStats::default());
         let path = answer.and_then(|(distance, via)| {
             let path = match via {
                 Via::Tile { tile, a, b } => tile_leg(&paths.tiles[tile], a, b),
                 Via::Portals { ls, lt, exit } => {
-                    let ends = ((self.site_home[s] as usize, ls), (self.site_home[t] as usize, lt));
-                    self.portal_route_path(paths, ends, &scratch.chain(exit))?
+                    let (hs, ht) = (self.site_home[s] as usize, self.site_home[t] as usize);
+                    let chain = self.routing.chain(s, hs, exit);
+                    self.portal_route_path(paths, (s, t), ((hs, ls), (ht, lt)), &chain)?
                 }
             };
             Ok(ShortestPath { distance, path })
@@ -922,66 +894,78 @@ impl Atlas {
         expect_answers(path)
     }
 
-    /// Concatenates the per-tile legs of a portal route into one polyline:
-    /// source site → entry portal (home tile), portal → portal (the tile
-    /// whose table realised each graph edge), exit portal → target site
-    /// (destination tile). Legs join at shared portal vertices, which
-    /// carry identical global coordinates in both tiles. `chain` runs
-    /// entry → exit and is never empty.
+    /// Concatenates the per-tile legs of the portal route of `(s, t)` into
+    /// one polyline: source site → entry portal (home tile), portal →
+    /// portal (the tile whose table realised each graph edge), exit portal
+    /// → target site (destination tile). Legs join at shared portal
+    /// vertices, which carry identical global coordinates in both tiles.
+    /// `chain` runs entry → exit and is never empty. Routing tables that
+    /// contradict the tiles are [`QueryError::NoRoute`].
     fn portal_route_path(
         &self,
         paths: &AtlasPaths,
+        pair: (usize, usize),
         ((ts, ls), (tt, lt)): ((usize, u32), (usize, u32)),
         chain: &[u32],
     ) -> Result<SurfacePath, QueryError> {
         let (entry, exit) = (chain[0], chain[chain.len() - 1]);
-        let mut pts = tile_leg(&paths.tiles[ts], ls, self.portal_site_in(ts, entry)?).points;
+        let mut pts = tile_leg(&paths.tiles[ts], ls, self.portal_site_in(ts, entry, pair)?).points;
         for w in chain.windows(2) {
             let (a, b) = (w[0], w[1]);
-            let tile = self.tile_realising_edge(a, b)?;
+            let tile = self.tile_realising_edge(a, b, pair)?;
             let leg = tile_leg(
                 &paths.tiles[tile],
-                self.portal_site_in(tile, a)?,
-                self.portal_site_in(tile, b)?,
+                self.portal_site_in(tile, a, pair)?,
+                self.portal_site_in(tile, b, pair)?,
             );
             append_leg(&mut pts, leg);
         }
-        let last = tile_leg(&paths.tiles[tt], self.portal_site_in(tt, exit)?, lt);
+        let last = tile_leg(&paths.tiles[tt], self.portal_site_in(tt, exit, pair)?, lt);
         append_leg(&mut pts, last);
         Ok(SurfacePath::from_points(pts))
     }
 
-    /// Local site id of global portal `gid` inside tile `t` (the portal
-    /// must belong to the tile).
-    fn portal_site_in(&self, t: usize, gid: u32) -> Result<u32, QueryError> {
-        let tile = self.tile(t)?;
-        let k = tile
+    /// Local site id of global portal `gid` inside `tile`. Routes only
+    /// cross portals of the tiles they pass through, so a miss means
+    /// corrupt routing tables: [`QueryError::NoRoute`] for the pair
+    /// `(s, t)` being routed.
+    fn portal_site_in(
+        &self,
+        tile: usize,
+        gid: u32,
+        (s, t): (usize, usize),
+    ) -> Result<u32, QueryError> {
+        let tt = self.tile(tile)?;
+        let k = tt
             .portals
             .binary_search_by_key(&gid, |&(g, _)| g)
-            // lint: allow(panic, "invariant: routes only cross portals of member tiles; a miss means a corrupt image")
-            .expect("portal not a member of the tile its route crossed");
-        Ok(tile.portals[k].1)
+            .map_err(|_| QueryError::NoRoute { s, t })?;
+        Ok(tt.portals[k].1)
     }
 
     /// The lowest-numbered tile whose portal table produced the portal
     /// graph edge `a → b` (the dedup in [`build_portal_graph`] keeps the
     /// minimum weight, which is some tile's table entry verbatim, so a
-    /// bitwise match always exists).
-    fn tile_realising_edge(&self, a: u32, b: u32) -> Result<usize, QueryError> {
-        let (lo, hi) = (self.graph_off[a as usize], self.graph_off[a as usize + 1]);
-        let row = &self.graph_adj[lo as usize..hi as usize];
-        let w =
-            // lint: allow(panic, "invariant: the dedup in build_portal_graph keeps some tile's entry verbatim")
-            row[row.binary_search_by_key(&b, |&(v, _)| v).expect("edge absent from the graph")].1;
-        for t in 0..self.n_tiles() {
-            let tile = self.tile(t)?;
-            let Ok(pi) = tile.portals.binary_search_by_key(&a, |&(g, _)| g) else { continue };
-            let Ok(pj) = tile.portals.binary_search_by_key(&b, |&(g, _)| g) else { continue };
-            if tile.portal_table[pi * tile.portals.len() + pj].to_bits() == w.to_bits() {
-                return Ok(t);
+    /// bitwise match exists unless the routing tables are corrupt, which
+    /// is [`QueryError::NoRoute`] for the pair `(s, t)` being routed).
+    fn tile_realising_edge(
+        &self,
+        a: u32,
+        b: u32,
+        (s, t): (usize, usize),
+    ) -> Result<usize, QueryError> {
+        let no_route = QueryError::NoRoute { s, t };
+        let row = self.routing.edges(a);
+        let w = row[row.binary_search_by_key(&b, |&(v, _)| v).map_err(|_| no_route)?].1;
+        for tile in 0..self.n_tiles() {
+            let tt = self.tile(tile)?;
+            let Ok(pi) = tt.portals.binary_search_by_key(&a, |&(g, _)| g) else { continue };
+            let Ok(pj) = tt.portals.binary_search_by_key(&b, |&(g, _)| g) else { continue };
+            if tt.portal_table[pi * tt.portals.len() + pj].to_bits() == w.to_bits() {
+                return Ok(tile);
             }
         }
-        unreachable!("portal graph edge {a} → {b} not realised by any tile table");
+        Err(no_route)
     }
 
     /// All POIs worth a detour of at most `delta` on a trip `s → t` — the
@@ -1070,60 +1054,28 @@ impl fmt::Debug for Atlas {
             .field("n_sites", &self.n_sites())
             .field("epsilon", &self.eps)
             .field("n_tiles", &self.n_tiles())
-            .field("n_portals", &self.n_portals)
+            .field("n_portals", &self.n_portals())
             .finish()
     }
 }
 
-/// Predecessor of a portal label realised by seeding from the source
-/// site rather than by a graph edge.
-const SEEDED: u32 = u32::MAX;
-
-/// Tiles a batch keeps pinned: a pair's two home tiles plus the shared
-/// tile its direct answer used. With two, a pair answered from a guest
-/// tile (shared by both sites, home to neither) evicts a home tile in the
-/// middle of its group.
+/// Tiles a batch keeps pinned: the tiles a home-tile-pair group's direct
+/// answers read, its two home tiles plus a guest tile both sites share.
+/// With two, a pair answered from a guest tile (shared by both sites, home
+/// to neither) evicts a home tile in the middle of its group.
 const PIN_TILES: usize = 3;
 
-/// Dijkstra + endpoint-leg scratch and the batch's tile pin set, reused
-/// across a batch (allocated once; the routing state is fully reset after
-/// every query, the pins persist for the batch).
+/// A batch's tile pin set, its only scratch: the [`PIN_TILES`] tiles used
+/// most recently, most recent first. Every tile access of
+/// [`Atlas::answer`] goes through [`Self::tile`]; the pins persist for the
+/// batch.
 struct RouteScratch {
-    /// The [`PIN_TILES`] tiles used most recently, most recent first:
-    /// every tile access of [`Atlas::answer`] and [`Atlas::route`] goes
-    /// through [`Self::tile`].
     pins: Vec<(usize, Arc<AtlasTile>)>,
-    /// Tentative portal distances, `INFINITY` when untouched.
-    dist: Vec<f64>,
-    /// The portal (or [`SEEDED`]) whose relaxation set each label. Only
-    /// entries of the current query's touched portals are meaningful, so
-    /// it needs no reset.
-    prev: Vec<u32>,
-    /// Portals whose `dist` entry needs resetting.
-    touched: Vec<u32>,
-    /// Min-heap on `(distance bits, portal id)` — non-negative finite
-    /// distances order identically by bits and by value, and the id
-    /// tie-break makes the settle order (hence every f64 accumulation)
-    /// deterministic.
-    heap: BinaryHeap<Reverse<(u64, u32)>>,
-    /// Endpoint-leg query pairs (site, portal) buffer.
-    pairs: Vec<(u32, u32)>,
-    /// Destination-portal marks for the Dijkstra early exit (set and
-    /// cleared per query).
-    dst_mark: Vec<bool>,
 }
 
 impl RouteScratch {
-    fn new(n_portals: usize) -> Self {
-        Self {
-            pins: Vec::with_capacity(PIN_TILES),
-            dist: vec![f64::INFINITY; n_portals],
-            prev: vec![SEEDED; n_portals],
-            touched: Vec::new(),
-            heap: BinaryHeap::new(),
-            pairs: Vec::new(),
-            dst_mark: vec![false; n_portals],
-        }
+    fn new() -> Self {
+        Self { pins: Vec::with_capacity(PIN_TILES) }
     }
 
     /// Tile `t` of `atlas`, from the pin set when pinned; otherwise
@@ -1144,41 +1096,219 @@ impl RouteScratch {
         }
         Ok(&self.pins[0].1)
     }
+}
 
-    #[inline]
-    fn relax(&mut self, p: u32, d: f64, from: u32) {
-        let slot = &mut self.dist[p as usize];
-        if d < *slot {
-            if slot.is_infinite() {
-                self.touched.push(p);
+/// Predecessor of a portal label realised by seeding from the source
+/// site rather than by a graph edge.
+const SEEDED: u32 = u32::MAX;
+
+/// Everything cross-tile routing reads, resident for built, loaded and
+/// out-of-core atlases alike: the portal graph and the per-site portal
+/// labels (see the module docs). Each table is one flat allocation.
+struct PortalRouting {
+    /// CSR portal graph: `graph_adj[graph_off[p]..graph_off[p + 1]]` are
+    /// `(neighbour, weight)` edges, ascending by neighbour, min weight per
+    /// neighbour.
+    graph_off: Vec<u32>,
+    graph_adj: Vec<(u32, f64)>,
+    /// Tile `t`'s portal ids, in its portal order:
+    /// `tile_gids[tile_off[t]..tile_off[t + 1]]`.
+    tile_off: Vec<u32>,
+    tile_gids: Vec<u32>,
+    /// Where each site's exit legs start in `legs`; a site has one per
+    /// portal of its home tile.
+    leg_at: Vec<u32>,
+    /// Exit legs: each site's home tile oracle distance to every portal of
+    /// that tile, in the tile's portal order. Grouped by home tile, sites
+    /// ascending within a tile — the order [`site_portal_pairs`] asks each
+    /// tile for them.
+    legs: Vec<f64>,
+    /// Reach rows, `n_sites × n_portals` row-major: row `s` holds every
+    /// portal's label in the portal-graph Dijkstra seeded with `s`'s exit
+    /// legs, `INFINITY` when unreachable.
+    reach: Vec<f64>,
+}
+
+impl PortalRouting {
+    /// Assembles the portal graph from every tile's portal view and the
+    /// labels from `legs` (every tile's exit legs, concatenated in tile
+    /// order): one seeded Dijkstra per site.
+    fn new(views: &[PortalView<'_>], n_portals: usize, site_home: &[u32], legs: Vec<f64>) -> Self {
+        let (graph_off, graph_adj) = build_portal_graph(views, n_portals);
+        let mut tile_off = Vec::with_capacity(views.len() + 1);
+        tile_off.push(0u32);
+        let mut tile_gids = Vec::new();
+        for &(portals, _) in views {
+            tile_gids.extend(portals.iter().map(|&(gid, _)| gid));
+            tile_off.push(tile_gids.len() as u32);
+        }
+        let n_legs = |t: usize| tile_off[t + 1] - tile_off[t];
+        // Each tile's block of legs starts after the blocks of the tiles
+        // before it; within a block, sites come in ascending order.
+        let mut next = vec![0u32; views.len()];
+        for &h in site_home {
+            next[h as usize] += n_legs(h as usize);
+        }
+        let mut at = 0u32;
+        for block in &mut next {
+            (*block, at) = (at, at + *block);
+        }
+        debug_assert_eq!(at as usize, legs.len(), "one exit leg per site and home portal");
+        let leg_at = site_home
+            .iter()
+            .map(|&h| {
+                let start = next[h as usize];
+                next[h as usize] += n_legs(h as usize);
+                start
+            })
+            .collect();
+        let mut routing =
+            Self { graph_off, graph_adj, tile_off, tile_gids, leg_at, legs, reach: Vec::new() };
+        let mut reach = vec![f64::INFINITY; site_home.len() * n_portals];
+        let mut prev = vec![SEEDED; n_portals];
+        if n_portals > 0 {
+            for (s, row) in reach.chunks_exact_mut(n_portals).enumerate() {
+                routing.dijkstra(routing.seeds(s, site_home[s] as usize), row, &mut prev);
             }
-            *slot = d;
-            self.heap.push(Reverse((d.to_bits(), p)));
-            self.prev[p as usize] = from;
+        }
+        routing.reach = reach;
+        routing
+    }
+
+    fn n_portals(&self) -> usize {
+        self.graph_off.len() - 1
+    }
+
+    /// Decoded size of every table.
+    fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        (self.graph_off.len() + self.tile_off.len() + self.tile_gids.len() + self.leg_at.len())
+            * size_of::<u32>()
+            + self.graph_adj.len() * size_of::<(u32, f64)>()
+            + (self.legs.len() + self.reach.len()) * size_of::<f64>()
+    }
+
+    /// Portal `p`'s out-edges, ascending by neighbour.
+    fn edges(&self, p: u32) -> &[(u32, f64)] {
+        let (lo, hi) = (self.graph_off[p as usize], self.graph_off[p as usize + 1]);
+        &self.graph_adj[lo as usize..hi as usize]
+    }
+
+    /// Site `s`'s exit legs as `(portal id, leg)`, in the portal order of
+    /// its home tile `home`.
+    fn seeds(&self, s: usize, home: usize) -> impl Iterator<Item = (u32, f64)> + '_ {
+        let gids = &self.tile_gids[self.tile_off[home] as usize..self.tile_off[home + 1] as usize];
+        gids.iter().copied().zip(self.legs[self.leg_at[s] as usize..].iter().copied())
+    }
+
+    /// The atlas's one Dijkstra: fills `dist` with every portal's label
+    /// seeded with `seeds` (applied in order; `INFINITY` when unreachable)
+    /// and `prev` with the portal whose edge set each label ([`SEEDED`] for
+    /// a seed's own). The min-heap orders on `(distance bits, portal id)`:
+    /// non-negative finite distances order identically by bits and by
+    /// value, and the id tie-break makes the settle order, hence every f64
+    /// accumulation, deterministic.
+    fn dijkstra(
+        &self,
+        seeds: impl Iterator<Item = (u32, f64)>,
+        dist: &mut [f64],
+        prev: &mut [u32],
+    ) {
+        let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
+        let mut relax = |heap: &mut BinaryHeap<_>, dist: &mut [f64], p: u32, d: f64, from: u32| {
+            if d < dist[p as usize] {
+                dist[p as usize] = d;
+                prev[p as usize] = from;
+                heap.push(Reverse((d.to_bits(), p)));
+            }
+        };
+        dist.fill(f64::INFINITY);
+        for (p, d) in seeds {
+            relax(&mut heap, dist, p, d, SEEDED);
+        }
+        while let Some(Reverse((bits, u))) = heap.pop() {
+            if bits > dist[u as usize].to_bits() {
+                continue; // stale entry
+            }
+            let du = dist[u as usize];
+            for &(v, w) in self.edges(u) {
+                relax(&mut heap, dist, v, du + w, u);
+            }
         }
     }
 
-    fn reset(&mut self) {
-        for &p in &self.touched {
-            self.dist[p as usize] = f64::INFINITY;
+    /// The portal route from site `s` to site `t`, homed in tile `ht`:
+    /// `min over t's exit legs k of reach[s][pₖ] + leg_t[k]`, strict `<` in
+    /// `ht`'s portal order, with its exit portal `pₖ` (`None` when no
+    /// portal of `ht` is reachable).
+    fn route(&self, s: usize, t: usize, ht: usize) -> Option<(f64, u32)> {
+        let n = self.n_portals();
+        let reach = &self.reach[s * n..(s + 1) * n];
+        let mut best: Option<(f64, u32)> = None;
+        for (gid, leg) in self.seeds(t, ht) {
+            let via = reach[gid as usize] + leg;
+            if via < best.map_or(f64::INFINITY, |(d, _)| d) {
+                best = Some((via, gid));
+            }
         }
-        self.touched.clear();
-        self.heap.clear();
+        best
     }
 
-    /// The portal chain, entry → `exit`, of the last route that left the
-    /// graph through `exit`: settled labels' predecessors lead back to a
-    /// seeded portal.
-    fn chain(&self, exit: u32) -> Vec<u32> {
+    /// The portal chain, entry → `exit`, of a route from site `s` (homed
+    /// in `hs`) that left the graph through `exit`: the predecessors of a
+    /// re-run of the Dijkstra that built `s`'s reach row lead back from
+    /// `exit` to a seed.
+    fn chain(&self, s: usize, hs: usize, exit: u32) -> Vec<u32> {
+        let n = self.n_portals();
+        let (mut dist, mut prev) = (vec![f64::INFINITY; n], vec![SEEDED; n]);
+        self.dijkstra(self.seeds(s, hs), &mut dist, &mut prev);
         let mut chain = vec![exit];
         let mut p = exit;
-        while self.prev[p as usize] != SEEDED {
-            p = self.prev[p as usize];
+        while prev[p as usize] != SEEDED {
+            p = prev[p as usize];
             chain.push(p);
         }
         chain.reverse();
         chain
     }
+}
+
+/// `(site, portal)` local-id query pairs from each of `sites` to every
+/// portal in `portals`, row-major in portal order: a tile's exit legs when
+/// `sites` are the sites it homes (ascending by global site), its portal
+/// table when they are its portals.
+fn site_portal_pairs(portals: &[(u32, u32)], sites: &[u32]) -> Vec<(u32, u32)> {
+    sites.iter().flat_map(|&l| portals.iter().map(move |&(_, p)| (l, p))).collect()
+}
+
+/// The exit legs of the sites a decoded `tile` homes (local ids `homed`,
+/// ascending by global site), through its oracle's checked kernel. A
+/// local id outside the tile or a failing leg means a corrupt image, so
+/// loads report it here and a query never meets it.
+pub(crate) fn exit_legs(tile: &AtlasTile, homed: &[u32]) -> Result<Vec<f64>, &'static str> {
+    if homed.iter().any(|&l| l as usize >= tile.oracle.n_sites()) {
+        return Err("site membership local id out of range");
+    }
+    let pairs = site_portal_pairs(&tile.portals, homed);
+    match tile.oracle.distance_many_checked_with_stats(&pairs) {
+        Ok((legs, _)) => Ok(legs),
+        Err(_) => Err("tile oracle fails a portal label leg"),
+    }
+}
+
+/// Per tile, the local ids of the sites it homes, ascending by global
+/// site: what [`exit_legs`] takes.
+pub(crate) fn homed_locals(
+    site_home: &[u32],
+    site_members: &[Vec<(u32, u32)>],
+    n_tiles: usize,
+) -> Result<Vec<Vec<u32>>, &'static str> {
+    let mut homed = vec![Vec::new(); n_tiles];
+    for (&home, members) in site_home.iter().zip(site_members) {
+        let local = local_in(members, home).ok_or("site home missing from its memberships")?;
+        homed[home as usize].push(local);
+    }
+    Ok(homed)
 }
 
 /// One tile's contribution to the portal graph — its `(global, local)`
@@ -1418,9 +1548,27 @@ mod tests {
             Err(QueryError::SiteOutOfRange { index: 1, site: u32::MAX, n_sites: n as usize })
         );
         let pairs = [(0, 1), (2, 3), (3, 3)];
-        let (got, stats) = a.distance_many_checked_with_stats(&pairs).unwrap();
+        let (got, _) = a.distance_many_checked_with_stats(&pairs).unwrap();
         assert_eq!(got, a.distance_many(&pairs));
-        assert!(stats.probes >= pairs.len() as u64, "tile legs must report their probes");
+        // A pair answered through a shared tile reports that tile's
+        // probes; a pair routed from the labels alone reports none.
+        let (mut shared, mut routed) = (0u64, 0u64);
+        for s in 0..n {
+            for t in 0..n {
+                let (_, stats) = a.distance_many_checked_with_stats(&[(s, t)]).unwrap();
+                if share_a_tile(&a, s as usize, t as usize) {
+                    assert!(stats.probes >= 1, "({s},{t}): shared-tile answers report probes");
+                    shared += 1;
+                } else {
+                    assert_eq!(stats.probes, 0, "({s},{t}): label routes make no probe");
+                    routed += 1;
+                }
+            }
+        }
+        assert!(shared > 0 && routed > 0, "the fixture must exercise both kinds of pair");
+        let all: Vec<(u32, u32)> = (0..n).flat_map(|s| (0..n).map(move |t| (s, t))).collect();
+        let (_, stats) = a.distance_many_checked_with_stats(&all).unwrap();
+        assert!(stats.probes >= shared, "a batch reports every shared-tile answer's probes");
 
         // A site whose home tile is missing from its memberships — only a
         // corrupt image says so — fails its cross-tile pairs with NoRoute.
@@ -1482,6 +1630,70 @@ mod tests {
         );
         assert_eq!(accesses(&ooc), before, "the range check must precede every tile access");
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn label_routed_pairs_reach_no_tile() {
+        // Cross-tile pairs whose membership lists do not intersect are
+        // answered from the portal labels alone: out of core at the floor
+        // budget, a batch of them reaches the store zero times and answers
+        // bit-identically to the resident atlas.
+        let (a, _, sites) = atlas(24, 3, 0.25);
+        let n = sites.len() as u32;
+        let pairs: Vec<(u32, u32)> = (0..n)
+            .flat_map(|s| (0..n).map(move |t| (s, t)))
+            .filter(|&(s, t)| !share_a_tile(&a, s as usize, t as usize))
+            .collect();
+        assert!(!pairs.is_empty(), "the fixture must have pairs sharing no tile");
+
+        let path = std::env::temp_dir()
+            .join(format!("terrain-oracle-atlas-label-routes-{}.seat", std::process::id()));
+        std::fs::write(&path, a.save_bytes_compact(false)).unwrap();
+        let ooc = Atlas::open_out_of_core(&path, 0).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let accesses = || {
+            let st = ooc.tile_store().unwrap().stats();
+            st.hits + st.misses
+        };
+        assert_eq!(accesses(), 0, "the open must build the labels without the store");
+        let (got, stats) = ooc.distance_many_checked_with_stats(&pairs).unwrap();
+        assert_eq!(accesses(), 0, "label-routed pairs must not reach the store");
+        assert_eq!(stats.probes, 0, "label-routed pairs make no tile probe");
+        let bits = |d: Vec<f64>| d.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(a.distance_many(&pairs)));
+    }
+
+    #[test]
+    fn a_tile_failing_a_label_leg_fails_the_load_and_the_open() {
+        // Tile 0's oracle keeps its tree but loses every stored pair: its
+        // image still decodes, but no exit leg has a covering pair. The
+        // labels are built at load, so the load and the out-of-core open
+        // both reject the image, and no query ever meets the tile.
+        let (mut a, _, _) = atlas(12, 45, 0.25);
+        let TileSet::Resident(tiles) = &mut a.tiles else { unreachable!("a built atlas") };
+        let t0 = Arc::clone(&tiles[0]);
+        let hollow = SeOracle::from_parts(t0.oracle.epsilon(), t0.oracle.tree().clone(), vec![]);
+        tiles[0] = Arc::new(AtlasTile {
+            oracle: hollow,
+            portals: t0.portals.clone(),
+            portal_table: t0.portal_table.clone(),
+        });
+        let bytes = a.save_bytes_compact(false);
+        let failing = |r: Result<Atlas, PersistError>| {
+            matches!(r, Err(PersistError::Corrupt("tile oracle fails a portal label leg")))
+        };
+        assert!(failing(Atlas::load_bytes(&bytes)), "the resident load must reject the tile");
+        let path = std::env::temp_dir()
+            .join(format!("terrain-oracle-atlas-hollow-tile-{}.seat", std::process::id()));
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(failing(Atlas::open_out_of_core(&path, 0)), "the open must reject the tile");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Whether sites `s` and `t` share a tile, so that tile's oracle
+    /// answers the pair directly.
+    fn share_a_tile(a: &Atlas, s: usize, t: usize) -> bool {
+        a.site_members[s].iter().any(|&(x, _)| a.site_members[t].iter().any(|&(y, _)| x == y))
     }
 
     #[test]

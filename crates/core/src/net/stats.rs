@@ -31,8 +31,9 @@ pub(crate) struct Counters {
     pub(crate) malformed: Arc<Counter>,
     pub(crate) errors: Arc<Counter>,
     /// Node-pair table probes performed by oracle batch answers
-    /// (`ProbeStats::probes` summed per batch; for atlases, over every
-    /// tile-oracle leg).
+    /// (`ProbeStats::probes` summed per batch; for atlases, over the tile
+    /// oracle answers of pairs that share a tile — a portal route read
+    /// from the labels makes no probe).
     pub(crate) probe_pairs: Arc<Counter>,
     /// Layer-array scratch-slot hits from the same answers.
     pub(crate) scratch_hits: Arc<Counter>,

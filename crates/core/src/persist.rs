@@ -832,10 +832,12 @@ impl Atlas {
     /// Deserializes a v2 atlas image written by [`Self::save_to_compact`]
     /// or a v1 image from an earlier build, validating the checksum, every
     /// nested oracle image, the membership and portal tables, and tile
-    /// routability before returning. Both versions flow through
-    /// `parse_seat_layout` + `decode_tile_segment` — the same pair the
-    /// out-of-core `TileStore` uses, so a fully-resident load and a lazy
-    /// one decode identical bytes identically.
+    /// routability, and building the portal labels (a tile oracle that
+    /// fails an exit leg is [`PersistError::Corrupt`]) before returning.
+    /// Both versions flow through `parse_seat_layout` +
+    /// `decode_tile_segment` — the same pair the out-of-core `TileStore`
+    /// uses, so a fully-resident load and a lazy one decode identical
+    /// bytes identically.
     pub fn load_from<R: Read>(r: &mut R) -> Result<Self, PersistError> {
         let (version, payload) =
             read_framed(r, ATLAS_MAGIC, ATLAS_VERSION..=ATLAS_VERSION_COMPACT, IMAGE_FRAME_CAP)?;
@@ -901,20 +903,24 @@ pub(crate) fn parse_seat_layout(payload: &[u8], version: u32) -> Result<SeatLayo
         return Err(PersistError::Corrupt("atlas without tiles or sites"));
     }
     // Counts are image-supplied and drive allocations (membership vectors
-    // here, the portal graph in `from_parts`, routing scratch at query
-    // time), so bound them by what the payload could possibly hold before
-    // allocating anything proportional to them. v1 records cost at least
-    // 8 bytes per site/tile/portal; v2 varint records can be as small as
-    // 4 bytes per site (home + count + one 2-byte membership), 2 per
-    // portal occurrence, and 8+ per tile (its directory entry plus the
-    // nested image's frame).
+    // here, the portal graph and the portal labels at load), so bound them
+    // by what the payload could possibly hold before allocating anything
+    // proportional to them. v1 records cost at least 8 bytes per
+    // site/tile/portal; v2 varint records can be as small as 4 bytes per
+    // site (home + count + one 2-byte membership), 2 per portal
+    // occurrence, and 8+ per tile (its directory entry plus the nested
+    // image's frame). The labels' reach rows hold `n_sites × n_portals`
+    // f64s, a product each count's own bound leaves quadratic in the
+    // payload, so it is held to 32 × payload + 64 KiB: the per-allocation
+    // bound a tampered image's load must meet.
     let rem = payload.len() - c.at;
     let plausible = if compact {
         n_sites <= rem / 4 && n_tiles <= rem / 8 && n_portals <= rem / 2
     } else {
         n_sites <= rem / 8 && n_tiles <= rem / 8 && n_portals <= rem / 8
     };
-    if !plausible {
+    let reach_bytes = (n_sites as u64).saturating_mul(n_portals as u64).saturating_mul(8);
+    if !plausible || reach_bytes > 32 * payload.len() as u64 + 65536 {
         return Err(PersistError::Corrupt("implausible atlas counts"));
     }
 
@@ -1394,6 +1400,27 @@ mod tests {
                     version_word(image)
                 );
             }
+            // n_sites and n_portals each at their own bound, so only their
+            // product — the size of the labels' reach rows — is too large.
+            // The frame wraps the payload in 24 bytes, and the counts are
+            // bounded by what follows the 20-byte head.
+            let version = version_word(image);
+            let rem = image.len() - 24 - 20;
+            let (sites, portals) = if version == ATLAS_VERSION_COMPACT {
+                (rem / 4, rem / 2)
+            } else {
+                (rem / 8, rem / 8)
+            };
+            assert!(sites * portals * 8 > 32 * (image.len() - 24) + 65536);
+            let mut counts = (sites as u32).to_le_bytes().to_vec();
+            counts.extend_from_slice(&(portals as u32).to_le_bytes());
+            assert!(
+                matches!(
+                    Atlas::load_bytes(&patch_payload(image, 8, &counts)),
+                    Err(PersistError::Corrupt("implausible atlas counts"))
+                ),
+                "an n_sites × n_portals product beyond the image accepted (version {version})"
+            );
         }
     }
 

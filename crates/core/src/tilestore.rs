@@ -18,7 +18,11 @@
 //! checked exactly as a resident load checks them. It then validates
 //! **every** tile segment (each nested oracle image carries its own
 //! checksum), retains the atlas-level metadata (portal lists, portal
-//! tables, site membership), and drops the decoded tiles again. The file
+//! tables, site membership), computes the exit legs of the sites each tile
+//! homes for the atlas's portal labels while the tile is decoded, and
+//! drops the decoded tiles again — so building the labels loads no tile
+//! through the store and leaves its counters alone. A tile whose oracle
+//! fails a label leg fails the open as [`PersistError::Corrupt`]. The file
 //! handle it read through stays open for the store's tile reads. After a
 //! successful open the only failures left on the tile path are
 //! environmental — the backing file shrank or was rewritten underneath
@@ -57,7 +61,7 @@ use std::sync::Arc;
 // lint: allow(d3, "LRU residency cache: single lock, query-ordinal ticks, decoded tiles immutable behind Arc")
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use crate::atlas::AtlasTile;
+use crate::atlas::{exit_legs, homed_locals, AtlasTile};
 use crate::oracle::QueryError;
 use crate::persist::{
     decode_tile_segment, parse_seat_layout, read_framed, PersistError, ATLAS_MAGIC, ATLAS_VERSION,
@@ -69,7 +73,9 @@ use crate::persist::{
 pub(crate) type PortalData = (Vec<(u32, u32)>, Vec<f64>);
 
 /// Atlas-level metadata collected while `TileStore::open` validates the
-/// image — everything [`crate::Atlas`] needs besides the tiles themselves.
+/// image — everything [`crate::Atlas`] needs besides the tiles themselves,
+/// including the exit legs the open computes from each tile while it is
+/// decoded, so the atlas builds its portal labels without a tile load.
 pub(crate) struct StoreMeta {
     /// Error parameter ε shared by every tile oracle.
     pub(crate) eps: f64,
@@ -82,6 +88,10 @@ pub(crate) struct StoreMeta {
     /// Per-tile `(portals, portal table)` — retained resident so the
     /// portal routing graph never needs a tile load.
     pub(crate) portal_data: Vec<PortalData>,
+    /// Every tile's exit legs (the sites it homes, ascending, times its
+    /// portals), concatenated in tile order: the input of the atlas's
+    /// portal labels, computed during validation.
+    pub(crate) exit_legs: Vec<f64>,
     /// Sites per tile (shape statistics).
     pub(crate) tile_sites: Vec<usize>,
 }
@@ -157,7 +167,8 @@ impl TileStore {
     ///
     /// Reads the whole file once: the frame (through `read_framed`), the
     /// atlas layout, and every tile segment (decoded transiently to
-    /// validate it and measure its resident footprint, then dropped).
+    /// validate it, measure its resident footprint and compute the exit
+    /// legs of the sites it homes, then dropped).
     /// Returns the store, which keeps the opened file for its tile reads,
     /// plus the atlas-level [`StoreMeta`] the caller assembles an
     /// [`crate::Atlas`] from. `resident_budget` caps the decoded bytes held
@@ -172,15 +183,19 @@ impl TileStore {
 
         let layout = parse_seat_layout(&payload, version)?;
         let n_tiles = layout.segments.len();
+        let homed = homed_locals(&layout.site_home, &layout.site_members, n_tiles)
+            .map_err(PersistError::Corrupt)?;
         let mut segments = Vec::with_capacity(n_tiles);
         let mut decoded_sizes = Vec::with_capacity(n_tiles);
         let mut portal_data = Vec::with_capacity(n_tiles);
         let mut tile_sites = Vec::with_capacity(n_tiles);
-        for &(off, seg_len) in &layout.segments {
+        let mut legs = Vec::new();
+        for (&(off, seg_len), homed) in layout.segments.iter().zip(&homed) {
             // One tile at a time: the transient decode peak is a single
             // tile, not the whole atlas — the point of out-of-core.
             let tile =
                 decode_tile_segment(&payload[off..off + seg_len], version, layout.n_portals)?;
+            legs.extend(exit_legs(&tile, homed).map_err(PersistError::Corrupt)?);
             decoded_sizes.push(tile.footprint());
             tile_sites.push(tile.oracle.n_sites());
             // Segment spans are payload-relative; the 16-byte frame header
@@ -204,6 +219,7 @@ impl TileStore {
             site_home: layout.site_home,
             site_members: layout.site_members,
             portal_data,
+            exit_legs: legs,
             tile_sites,
         };
         let registry = obs::Registry::new();

@@ -195,3 +195,45 @@ fn persisted_atlas_byte_identical_level5() {
         assert_eq!(got, want, "served answers differ from the in-memory atlas");
     }
 }
+
+/// FNV-1a 64 over the little-endian bytes of every ordered pair's answer,
+/// row by row: `s` ascending, one `distance_many` of `(s, 0..n)` per row.
+fn answer_digest(atlas: &Atlas) -> u64 {
+    let n = atlas.n_sites() as u32;
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for s in 0..n {
+        let row: Vec<(u32, u32)> = (0..n).map(|t| (s, t)).collect();
+        for b in atlas.distance_many(&row).into_iter().flat_map(f64::to_le_bytes) {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x1_0000_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Answers pinned across revisions: every ordered pair of each checked-in
+/// atlas fixture hashes to the digest recorded when the fixtures' answers
+/// were first pinned, loaded resident and out of core at the floor
+/// budget. Fixture answers are stored distances plus IEEE additions, so
+/// the digests hold on every platform; a routing change that moves one
+/// bit of one answer fails here.
+#[test]
+fn fixture_answers_hold_their_recorded_digests() {
+    let fixtures: [(&str, &[u8], u64); 4] = [
+        ("v1-atlas-l4", include_bytes!("fixtures/v1/atlas-l4.seat"), 0xba2b_c612_8662_88de),
+        ("v1-atlas-l5", include_bytes!("fixtures/v1/atlas-l5.seat"), 0x4ab1_7c7b_10be_d51a),
+        ("v1-atlas-l6", include_bytes!("fixtures/v1/atlas-l6.seat"), 0xcf3d_b04a_2c83_68e7),
+        ("v2-atlas-l4", include_bytes!("fixtures/v2/atlas-l4.seat"), 0xba2b_c612_8662_88de),
+    ];
+    for (name, bytes, want) in fixtures {
+        let path = tmp_dir("atlas-digests").join(format!("{name}.seat"));
+        std::fs::write(&path, bytes).unwrap();
+        let resident = Atlas::load_bytes(bytes).unwrap();
+        let ooc = Atlas::open_out_of_core(&path, 0).unwrap();
+        for (how, atlas) in [("resident", &resident), ("out of core", &ooc)] {
+            let got = answer_digest(atlas);
+            assert_eq!(got, want, "{name} {how}: digest {got:#018x}, recorded {want:#018x}");
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+}
