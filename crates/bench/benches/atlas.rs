@@ -8,8 +8,8 @@
 //! * `query/intra-tile` vs `query/cross-tile` — 256-pair batches that stay
 //!   inside one tile (pure `O(h)` probes) against batches that cross a
 //!   seam (portal-graph Dijkstra per pair): the price of routing.
-//! * `query/mixed-10k` — a realistic mixed batch through the amortized
-//!   scratch, the atlas analogue of `query_batch/1-thread`.
+//! * `query/mixed-10k` — a realistic mixed batch in one call, the atlas
+//!   analogue of `query_batch/1-thread`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use se_oracle::atlas::{Atlas, AtlasConfig};

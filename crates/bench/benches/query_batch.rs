@@ -5,9 +5,10 @@
 //!
 //! Each measurement covers the **whole 10k-pair batch**, so the reported
 //! time is directly a queries-per-second figure (iters × 10k / elapsed).
-//! On a single-core container the 1-thread batch win is the layer-array
-//! amortization alone; the N-thread rows record the scaling trajectory on
-//! multi-core runners.
+//! Every query reads its layer arrays from the oracle's table, so the
+//! 1-thread batch win over individual calls is per-call overhead alone
+//! (one range check and one answer vector per call); the N-thread rows
+//! record the scaling trajectory on multi-core runners.
 
 use bench::setup::{query_pairs, Workload};
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -73,7 +73,7 @@ fn main() {
         black_box(oracle.oracle().n_pairs());
     });
 
-    // 2. Query batch: 10k pairs through the amortized layer-array driver.
+    // 2. Query batch: 10k pairs in one `distance_many` call.
     let w = Workload::preset(Preset::SfSmall, 0.3, 60);
     let built =
         P2POracle::build(&w.mesh, &w.pois, 0.15, EngineKind::EdgeGraph, &BuildConfig::default())

@@ -429,8 +429,7 @@ impl Atlas {
             let space = VertexSiteSpace::new(engine, plan.verts.clone());
             let oracle = SeOracle::build(&space, eps, &inner_cfg)?;
             // The tile's portal–portal table and the exit legs of the
-            // sites it homes: oracle queries through the amortized
-            // batch path.
+            // sites it homes: one oracle batch each.
             let portal_locals: Vec<u32> = plan.portals.iter().map(|&(_, l)| l).collect();
             let table = oracle.distance_many(&site_portal_pairs(&plan.portals, &portal_locals));
             let legs = oracle.distance_many(&site_portal_pairs(&plan.portals, &homed[t]));
@@ -1665,14 +1664,17 @@ mod tests {
 
     #[test]
     fn a_tile_failing_a_label_leg_fails_the_load_and_the_open() {
-        // Tile 0's oracle keeps its tree but loses every stored pair: its
-        // image still decodes, but no exit leg has a covering pair. The
-        // labels are built at load, so the load and the out-of-core open
-        // both reject the image, and no query ever meets the tile.
+        // Tile 0's oracle keeps its tree and its leaf self pairs (distance
+        // 0) but loses every other stored pair: its image still decodes,
+        // but no exit leg to another site has a covering pair. The labels
+        // are built at load, so the load and the out-of-core open both
+        // reject the image, and no query ever meets the tile.
         let (mut a, _, _) = atlas(12, 45, 0.25);
         let TileSet::Resident(tiles) = &mut a.tiles else { unreachable!("a built atlas") };
         let t0 = Arc::clone(&tiles[0]);
-        let hollow = SeOracle::from_parts(t0.oracle.epsilon(), t0.oracle.tree().clone(), vec![]);
+        let tree = t0.oracle.tree().clone();
+        let self_pairs = tree.leaf_of_site.iter().map(|&l| (phash::pair_key(l, l), 0.0)).collect();
+        let hollow = SeOracle::from_parts(t0.oracle.epsilon(), tree, self_pairs);
         tiles[0] = Arc::new(AtlasTile {
             oracle: hollow,
             portals: t0.portals.clone(),

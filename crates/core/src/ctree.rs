@@ -128,48 +128,25 @@ impl CompressedTree {
         out
     }
 
-    /// The paper's `A_s` array: `A[i]` is the node at layer `i` on the path
-    /// from `site`'s leaf to the root, or `NO_NODE` when the compressed
-    /// path skips layer `i`.
-    pub fn layer_array(&self, site: usize) -> Vec<u32> {
-        let mut a = Vec::new();
-        self.layer_array_into(site, &mut a);
-        a
-    }
-
-    /// [`Self::layer_array`] into a caller-owned buffer (resized to
-    /// `h + 1`), so batch query paths can walk thousands of root paths
-    /// without one heap allocation per site.
-    pub fn layer_array_into(&self, site: usize, a: &mut Vec<u32>) {
-        a.clear();
-        a.resize(self.h as usize + 1, NO_NODE);
-        self.layer_array_fill(site, a);
-    }
-
-    /// Fills a pre-zeroed (`NO_NODE`) slice of length `h + 1` with `site`'s
-    /// layer array. Walks the leaf-to-root path directly instead of
-    /// materializing it.
-    fn layer_array_fill(&self, site: usize, a: &mut [u32]) {
-        let mut node = self.leaf_of_site[site];
-        loop {
-            a[self.nodes[node as usize].layer as usize] = node;
-            let p = self.nodes[node as usize].parent;
-            if p == NO_NODE {
-                break;
-            }
-            node = p;
-        }
-    }
-
-    /// Layer arrays of **all** sites in one flat row-major buffer
-    /// (`n_sites × (h + 1)`): row `s` is `layer_array(s)`. This is the
-    /// dense form large batch queries use — one pass over the tree, then
-    /// every per-query lookup is a slice index.
+    /// The paper's `A_s` arrays (§3.4) of **all** sites in one flat
+    /// row-major buffer (`n_sites × (h + 1)`): entry `i` of row `s` is the
+    /// node at layer `i` on the path from `s`'s leaf to the root, or
+    /// `NO_NODE` when the compressed path skips layer `i`. One pass over
+    /// the tree fills it; [`crate::oracle::SeOracle`] keeps it from build
+    /// and load, and every query reads its rows.
     pub fn all_layer_arrays(&self) -> Vec<u32> {
         let h1 = self.h as usize + 1;
         let mut flat = vec![NO_NODE; self.leaf_of_site.len() * h1];
-        for (site, row) in flat.chunks_mut(h1).enumerate() {
-            self.layer_array_fill(site, row);
+        for (row, &leaf) in flat.chunks_mut(h1).zip(&self.leaf_of_site) {
+            let mut node = leaf;
+            loop {
+                row[self.nodes[node as usize].layer as usize] = node;
+                let p = self.nodes[node as usize].parent;
+                if p == NO_NODE {
+                    break;
+                }
+                node = p;
+            }
         }
         flat
     }
@@ -266,31 +243,21 @@ mod tests {
 
     #[test]
     fn layer_array_matches_path() {
-        let (_, c) = build(16, 11);
-        for site in 0..16 {
-            let a = c.layer_array(site);
-            assert_eq!(a[c.h as usize], c.leaf_of_site[site]);
-            assert_eq!(a[c.nodes[c.root as usize].layer as usize], c.root);
-            // The layer array read in ascending layer order is the
-            // root-to-leaf path.
-            let on_path: Vec<u32> = a.iter().copied().filter(|&x| x != NO_NODE).collect();
-            let mut path = c.path_to_root(c.leaf_of_site[site]);
-            path.reverse(); // leaf→root becomes root→leaf
-            assert_eq!(path, on_path);
-        }
-    }
-
-    #[test]
-    fn layer_array_into_and_dense_form_match() {
-        let (_, c) = build(16, 19);
-        let flat = c.all_layer_arrays();
-        let h1 = c.h as usize + 1;
-        let mut buf = Vec::new();
-        for site in 0..16 {
-            let a = c.layer_array(site);
-            c.layer_array_into(site, &mut buf); // buffer reused across sites
-            assert_eq!(a, buf, "site {site}");
-            assert_eq!(&flat[site * h1..(site + 1) * h1], a.as_slice(), "site {site}");
+        for seed in [11, 19] {
+            let (_, c) = build(16, seed);
+            let h1 = c.h as usize + 1;
+            let flat = c.all_layer_arrays();
+            assert_eq!(flat.len(), 16 * h1);
+            for (site, a) in flat.chunks(h1).enumerate() {
+                assert_eq!(a[c.h as usize], c.leaf_of_site[site]);
+                assert_eq!(a[c.nodes[c.root as usize].layer as usize], c.root);
+                // The layer array read in ascending layer order is the
+                // root-to-leaf path.
+                let on_path: Vec<u32> = a.iter().copied().filter(|&x| x != NO_NODE).collect();
+                let mut path = c.path_to_root(c.leaf_of_site[site]);
+                path.reverse(); // leaf→root becomes root→leaf
+                assert_eq!(path, on_path, "seed {seed} site {site}");
+            }
         }
     }
 

@@ -638,7 +638,6 @@ fn run_batch(sh: &Arc<Shared>, batch: Vec<Job>, total_pairs: usize) {
     };
     if let Ok((_, ps)) = &coalesced {
         sh.stats.probe_pairs.add(ps.probes);
-        sh.stats.scratch_hits.add(ps.scratch_hits);
     }
     let mut at = 0usize;
     for job in &batch {
@@ -663,7 +662,6 @@ fn run_batch(sh: &Arc<Shared>, batch: Vec<Job>, total_pairs: usize) {
                         match solo {
                             Ok((d, ps)) => {
                                 sh.stats.probe_pairs.add(ps.probes);
-                                sh.stats.scratch_hits.add(ps.scratch_hits);
                                 Response::Distances { id: *id, distances: d }
                             }
                             Err((code, message)) => {

@@ -35,8 +35,6 @@ pub(crate) struct Counters {
     /// oracle answers of pairs that share a tile — a portal route read
     /// from the labels makes no probe).
     pub(crate) probe_pairs: Arc<Counter>,
-    /// Layer-array scratch-slot hits from the same answers.
-    pub(crate) scratch_hits: Arc<Counter>,
     batches: Arc<Counter>,
     queue_depth: Arc<Gauge>,
     max_queue_depth: Arc<Gauge>,
@@ -57,7 +55,6 @@ impl Counters {
             malformed: registry.counter("serve_malformed_total"),
             errors: registry.counter("serve_errors_total"),
             probe_pairs: registry.counter("serve_probe_pairs_total"),
-            scratch_hits: registry.counter("serve_scratch_hits_total"),
             batches: registry.counter("serve_batches_total"),
             queue_depth: registry.gauge("serve_queue_depth"),
             max_queue_depth: registry.gauge("serve_queue_depth_max"),

@@ -230,9 +230,10 @@ pub struct ProbeStats {
     /// Node-pair table probes, one row search each, performed across the
     /// whole batch (for an atlas: across every tile-oracle leg).
     pub probes: u64,
-    /// Endpoints whose layer array was already resident in the two-slot
-    /// scratch memo (always 0 on the dense path, which precomputes every
-    /// array up front).
+    /// Always 0. It counted hits in a per-batch layer-array memo, which is
+    /// gone: every query reads the layer table the oracle keeps. The
+    /// benchmark's `oracle.memo_hit_frac` still reads it; item 1 of
+    /// ROADMAP.md ("One benchmark, one comparator") retires both.
     pub scratch_hits: u64,
 }
 
@@ -286,6 +287,10 @@ pub struct SeOracle {
     /// node ids; the node pair set of §3.3, each unordered pair stored once
     /// under its canonical key, in the row of its smaller node.
     pairs: PairTable,
+    /// Every site's layer array `A_s` (§3.4), row-major with stride
+    /// `h + 1` ([`CompressedTree::all_layer_arrays`]), filled at build and
+    /// at load: what every query reads.
+    layers: Vec<u32>,
     stats: BuildStats,
 }
 
@@ -362,13 +367,14 @@ impl SeOracle {
         let entries: Vec<(u64, f64)> =
             set.pairs.iter().map(|p| (pair_key(p.a, p.b), p.dist)).collect();
         let pairs = PairTable::new(ctree.n_nodes(), entries);
+        let layers = ctree.all_layer_arrays();
         let cache = space.stats();
         stats.cache_hits = cache.hits;
         stats.cache_misses = cache.misses;
         stats.total = span_build.finish();
         stats.record_to(obs::global());
 
-        Ok(Self { eps, ctree, pairs, stats })
+        Ok(Self { eps, ctree, pairs, layers, stats })
     }
 
     /// The error parameter ε.
@@ -413,9 +419,10 @@ impl SeOracle {
 
     /// Reassembles an oracle from a compressed tree and its node-pair
     /// entries (the inverse of [`Self::tree`] + [`Self::pair_entries`];
-    /// used when deserializing). The entries fill the pair table directly:
-    /// in one pass when they arrive in ascending key order, as a loaded
-    /// image's do. Every key must name two nodes of `ctree`, at most once.
+    /// used when deserializing) and fills its layer table. The entries
+    /// fill the pair table directly: in one pass when they arrive in
+    /// ascending key order, as a loaded image's do. Every key must name two
+    /// nodes of `ctree`, at most once.
     pub(crate) fn from_parts(eps: f64, ctree: CompressedTree, entries: Vec<(u64, f64)>) -> Self {
         let stats = BuildStats {
             stored_pairs: entries.len(),
@@ -425,7 +432,23 @@ impl SeOracle {
             ..Default::default()
         };
         let pairs = PairTable::new(ctree.n_nodes(), entries);
-        Self { eps, ctree, pairs, stats }
+        let layers = ctree.all_layer_arrays();
+        Self { eps, ctree, pairs, layers, stats }
+    }
+
+    /// `site`'s row of the layer table: its ancestor at each layer
+    /// `0..=h`, or `NO_NODE` where the compressed path skips the layer.
+    pub(crate) fn layer_row(&self, site: usize) -> &[u32] {
+        let h1 = self.ctree.h as usize + 1;
+        &self.layers[site * h1..(site + 1) * h1]
+    }
+
+    /// Whether every site's leaf self pair `⟨leaf, leaf⟩` is stored, as in
+    /// every built oracle: [`wspd::generate`] splits every diagonal pair
+    /// down to the leaves. The loader rejects an image where one is
+    /// missing.
+    pub(crate) fn stores_leaf_self_pairs(&self) -> bool {
+        self.ctree.leaf_of_site.iter().all(|&leaf| self.pairs.get(leaf, leaf).is_some())
     }
 
     /// ε-approximate geodesic distance between sites `s` and `t` — the
@@ -480,74 +503,44 @@ impl SeOracle {
     /// two candidates, the first in this order wins, on every path and
     /// thread count.
     ///
-    /// One pair spends a large share of its ~hundreds of nanoseconds
-    /// materializing the two layer arrays (a root-path walk per endpoint).
-    /// The batch amortizes that: small batches reuse a two-slot scratch
-    /// (no allocation per pair; runs sharing an endpoint in either role
-    /// recompute nothing), and batches with at least as many pairs as the
-    /// oracle has sites switch to a dense table of **all** layer arrays —
-    /// one tree pass, then every pair is pure pair-table probes. The dense
-    /// table is `n·(h+1)·4` bytes, which the `pairs.len() ≥ n` gate keeps
-    /// proportional to the batch itself.
+    /// Both layer arrays are rows of the table the oracle fills once, at
+    /// build and at load, so every pair is pure pair-table probes whatever
+    /// the batch size, thread count or backend. The table is
+    /// `n_sites × (h + 1) × 4` bytes, inside Theorem 2's `O(nh/ε^{2β})`
+    /// space bound, and [`Self::storage_bytes`] charges it.
     pub fn distance_many_checked_with_stats(
         &self,
         pairs: &[(u32, u32)],
     ) -> Result<(Vec<f64>, ProbeStats), QueryError> {
         check_range(pairs, self.n_sites())?;
-        let dense = (pairs.len() >= self.n_sites()).then(|| self.dense_layers());
-        self.probe_pairs(pairs, dense.as_ref())
+        self.probe_pairs(pairs)
     }
 
     /// [`Self::distance_many`] sharded across `threads` pool workers
     /// (`0` = auto-detect). Results come back in input order and are
-    /// bit-identical for every thread count. Batches large enough for the
-    /// dense layer table build it **once** and share it read-only across
-    /// every shard (a shard alone is often below the dense gate, so
-    /// deciding per shard would forfeit the amortization the batch
-    /// qualifies for).
+    /// bit-identical for every thread count. Every shard reads the
+    /// oracle's one layer table, so sharding repeats no per-batch work.
     ///
     /// Panics exactly as [`Self::distance_many`] does — ids are checked
     /// up front, so an out-of-range panic fires on the caller's thread,
     /// not inside a worker. An empty slice returns immediately (no pool,
     /// no thread-count resolution).
     pub fn distance_many_par(&self, pairs: &[(u32, u32)], threads: usize) -> Vec<f64> {
-        let n = self.n_sites();
-        let answers = check_range(pairs, n).and_then(|()| {
-            let dense = (pairs.len() >= n).then(|| self.dense_layers());
-            shard_pairs(pairs, threads, |chunk| self.probe_pairs(chunk, dense.as_ref()))
-        });
+        let answers = check_range(pairs, self.n_sites())
+            .and_then(|()| shard_pairs(pairs, threads, |chunk| self.probe_pairs(chunk)));
         expect_answers(answers).0
     }
 
-    /// The dense table behind large batches: every site's layer array.
-    fn dense_layers(&self) -> DenseLayers {
-        DenseLayers { h1: self.ctree.h as usize + 1, flat: self.ctree.all_layer_arrays() }
-    }
-
     /// Answers range-checked pairs — the one loop over pairs every
-    /// distance entry point runs. Layer arrays come from `dense` when
-    /// given, otherwise from a two-slot [`LayerScratch`].
-    fn probe_pairs(
-        &self,
-        pairs: &[(u32, u32)],
-        dense: Option<&DenseLayers>,
-    ) -> Result<(Vec<f64>, ProbeStats), QueryError> {
-        let mut scratch = LayerScratch::default();
+    /// distance entry point runs.
+    fn probe_pairs(&self, pairs: &[(u32, u32)]) -> Result<(Vec<f64>, ProbeStats), QueryError> {
         let mut stats = ProbeStats::default();
         let mut out = Vec::with_capacity(pairs.len());
         for &(s, t) in pairs {
             let (s, t) = (s as usize, t as usize);
-            let (a, b) = match dense {
-                Some(d) => (d.row(s), d.row(t)),
-                None => {
-                    let (i, j) = scratch.pair_slots(&self.ctree, s, t);
-                    (scratch.arrays[i].as_slice(), scratch.arrays[j].as_slice())
-                }
-            };
-            let d = self.probe(a, b, &mut stats.probes);
+            let d = self.probe(self.layer_row(s), self.layer_row(t), &mut stats.probes);
             out.push(d.ok_or(QueryError::NoCoveringPair { s, t })?);
         }
-        stats.scratch_hits = scratch.hits;
         Ok((out, stats))
     }
 
@@ -602,7 +595,7 @@ impl SeOracle {
     /// like [`Self::distance`].
     pub fn distance_naive(&self, s: usize, t: usize) -> (f64, ProbeStats) {
         let answer = check_range(&[site_pair(s, t)], self.n_sites()).and_then(|()| {
-            let (a, b) = (self.ctree.layer_array(s), self.ctree.layer_array(t));
+            let (a, b) = (self.layer_row(s), self.layer_row(t));
             let mut stats = ProbeStats::default();
             for &na in a.iter().filter(|&&x| x != NO_NODE) {
                 for &nb in b.iter().filter(|&&x| x != NO_NODE) {
@@ -617,12 +610,15 @@ impl SeOracle {
         expect_answers(answer)
     }
 
-    /// Oracle size in memory: compressed tree + node-pair table
-    /// (construction scaffolding excluded). It depends only on the tree and
-    /// the number of stored pairs, so an oracle and every reload of its
-    /// image report the same size.
+    /// Oracle size in memory: compressed tree + node-pair table + layer
+    /// table (`n_sites × (h + 1) × 4` bytes; construction scaffolding
+    /// excluded). It depends only on the tree and the number of stored
+    /// pairs, so an oracle and every reload of its image report the same
+    /// size.
     pub fn storage_bytes(&self) -> usize {
-        self.ctree.storage_bytes() + self.pairs.storage_bytes()
+        self.ctree.storage_bytes()
+            + self.pairs.storage_bytes()
+            + self.layers.len() * std::mem::size_of::<u32>()
     }
 }
 
@@ -635,82 +631,6 @@ impl std::fmt::Debug for SeOracle {
             .field("n_pairs", &self.n_pairs())
             .field("height", &self.height())
             .finish()
-    }
-}
-
-/// All sites' layer arrays in one flat row-major table
-/// ([`CompressedTree::all_layer_arrays`]) — what large batch queries probe
-/// against instead of re-walking root paths per pair.
-struct DenseLayers {
-    /// Row stride, `h + 1`.
-    h1: usize,
-    flat: Vec<u32>,
-}
-
-impl DenseLayers {
-    /// `site`'s layer array.
-    #[inline]
-    fn row(&self, site: usize) -> &[u32] {
-        &self.flat[site * self.h1..(site + 1) * self.h1]
-    }
-}
-
-/// Sentinel for an empty [`LayerScratch`] slot (site ids are `usize`, so a
-/// `u64` sentinel can never collide with a valid id on 64-bit targets and
-/// is out of range on all others).
-const NO_SITE: u64 = u64::MAX;
-
-/// Two-slot memo of site layer arrays, the sparse batch path's
-/// amortization: the two most recently used distinct sites keep their
-/// arrays, so consecutive pairs sharing an endpoint — in either role,
-/// including a full `(s, t)` → `(t, s)` swap — recompute nothing, and no
-/// pair allocates (the slot buffers are reused in place).
-struct LayerScratch {
-    /// Site whose layer array each slot holds, or [`NO_SITE`].
-    sites: [u64; 2],
-    arrays: [Vec<u32>; 2],
-    /// Endpoints served from a resident slot (telemetry; two hits means a
-    /// pair recomputed nothing).
-    hits: u64,
-}
-
-impl Default for LayerScratch {
-    fn default() -> Self {
-        Self { sites: [NO_SITE; 2], arrays: [Vec::new(), Vec::new()], hits: 0 }
-    }
-}
-
-impl LayerScratch {
-    /// Slot indices holding the layer arrays of `s` and `t` (equal when
-    /// `s == t`), computing missing arrays into whichever slot the other
-    /// endpoint does not occupy.
-    fn pair_slots(&mut self, tree: &CompressedTree, s: usize, t: usize) -> (usize, usize) {
-        let find = |sites: &[u64; 2], x: usize| sites.iter().position(|&w| w == x as u64);
-        match (find(&self.sites, s), find(&self.sites, t)) {
-            (Some(i), Some(j)) => {
-                self.hits += 2;
-                (i, j)
-            }
-            (Some(i), None) => {
-                self.hits += 1;
-                (i, self.fill(tree, 1 - i, t))
-            }
-            (None, Some(j)) => {
-                self.hits += 1;
-                (self.fill(tree, 1 - j, s), j)
-            }
-            (None, None) => {
-                let i = self.fill(tree, 0, s);
-                let j = if t == s { i } else { self.fill(tree, 1, t) };
-                (i, j)
-            }
-        }
-    }
-
-    fn fill(&mut self, tree: &CompressedTree, slot: usize, site: usize) -> usize {
-        tree.layer_array_into(site, &mut self.arrays[slot]);
-        self.sites[slot] = site as u64;
-        slot
     }
 }
 
@@ -989,14 +909,14 @@ mod tests {
         let err = Err(QueryError::NoCoveringPair { s, t });
 
         let pair = [(s as u32, t as u32)];
-        assert_eq!(hostile.distance_many_checked_with_stats(&pair), err, "scratch path");
+        assert_eq!(hostile.distance_many_checked_with_stats(&pair), err, "one pair");
         assert_eq!(
             hostile.distance_many_checked_with_stats(&[(t as u32, s as u32)]),
             Err(QueryError::NoCoveringPair { s: t, t: s }),
             "mirror"
         );
         let all = all_pairs(n);
-        assert_eq!(hostile.distance_many_checked_with_stats(&all), err, "dense path");
+        assert_eq!(hostile.distance_many_checked_with_stats(&all), err, "every pair in one batch");
         for threads in [1, 2] {
             let panic = std::panic::catch_unwind(|| hostile.distance_many_par(&all, threads))
                 .expect_err("an uncovered pair panics");

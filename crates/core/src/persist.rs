@@ -7,7 +7,8 @@
 //! in a flat little-endian format. The pair set is stored as its keys and
 //! values only; a load fills the in-memory [`phash::PairTable`] from them
 //! (in one pass for a v3 image, whose keys arrive in ascending order), so
-//! the on-disk layout is independent of the in-memory index.
+//! the on-disk layout is independent of the in-memory index. Nor is the
+//! oracle's layer table stored: a load fills it from the tree.
 //!
 //! Both image kinds share one **frame**: a 4-byte magic, an explicit
 //! format-version word, the payload length, the payload, and an FNV-1a
@@ -155,9 +156,20 @@ pub const ATLAS_VERSION: u32 = 1;
 /// Loaders accept both versions.
 pub const ATLAS_VERSION_COMPACT: u32 = 2;
 /// Hard cap on the stored tree height `h`. The paper reports `h < 30` on
-/// every dataset; `h + 1` sizes each per-query layer array, so an
-/// image-supplied height must not be an allocation amplifier.
+/// every dataset; `h + 1` is the row length of the oracle's layer table,
+/// so an image-supplied height must not be an allocation amplifier (the
+/// table as a whole is bounded by [`exceeds_load_budget`]).
 const MAX_TREE_HEIGHT: u32 = 4096;
+
+/// Whether a table of `bytes` that a load allocates from image-supplied
+/// counts is implausible for a payload of `payload_len` bytes: past
+/// `32 × payload + 64 KiB`, the per-allocation bound a tampered image's
+/// load must meet. It holds the tables whose size is a product of counts
+/// that each count's own bound leaves quadratic in the payload: an
+/// atlas's portal-label reach rows and an oracle's layer table.
+fn exceeds_load_budget(bytes: u64, payload_len: usize) -> bool {
+    bytes > 32 * payload_len as u64 + 65536
+}
 
 /// Deserialization failures.
 #[derive(Debug)]
@@ -440,6 +452,14 @@ impl SeOracle {
     /// every structural invariant (tree shape, layer monotonicity, leaf
     /// mapping, canonical pair keys) before returning. A v1 or v2 image's
     /// mirrored pairs are canonicalised as the module docs state.
+    ///
+    /// The load fills the oracle's layer table, `n_sites × (h + 1) × 4`
+    /// bytes; an image whose table would exceed `32 × payload + 64 KiB`
+    /// is `Corrupt("implausible tree height")`. An image that does not
+    /// store every site's leaf self pair `⟨leaf, leaf⟩`, which every built
+    /// oracle stores, is `Corrupt("leaf self pair missing")`. Other missing
+    /// covering pairs are not searched for at load: the query that meets
+    /// one returns [`QueryError::NoCoveringPair`].
     pub fn load_from<R: Read>(r: &mut R) -> Result<Self, PersistError> {
         let (version, payload) =
             read_framed(r, MAGIC, ORACLE_VERSION..=ORACLE_VERSION_COMPACT, IMAGE_FRAME_CAP)?;
@@ -461,10 +481,10 @@ impl SeOracle {
             return Err(PersistError::Corrupt("root radius not a finite length"));
         }
         let h = c.u32()?;
-        // `h + 1` sizes every layer array (and, times n_sites, the dense
-        // batch table), so a hostile height is an allocation amplifier.
-        // The paper reports h < 30 on every dataset; 4096 is far beyond
-        // any real terrain while keeping one layer array at 16 KiB.
+        // `h + 1` is the row length of the layer table, so a hostile
+        // height is an allocation amplifier. The paper reports h < 30 on
+        // every dataset; 4096 is far beyond any real terrain while keeping
+        // one row at 16 KiB.
         if h > MAX_TREE_HEIGHT {
             return Err(PersistError::Corrupt("implausible tree height"));
         }
@@ -518,16 +538,10 @@ impl SeOracle {
             return Err(PersistError::Corrupt("trailing bytes in payload"));
         }
 
-        assemble_oracle(OracleParts {
-            eps,
-            r0,
-            h,
-            root,
-            nodes,
-            leaf_of_site,
-            entries,
-            ordered_keys: true,
-        })
+        assemble_oracle(
+            OracleParts { eps, r0, h, root, nodes, leaf_of_site, entries, ordered_keys: true },
+            payload.len(),
+        )
     }
 
     /// Parses the v2 or v3 payload (see the module docs). Varint-decoded
@@ -638,16 +652,19 @@ impl SeOracle {
         }
         let entries: Vec<(u64, f64)> = keys.into_iter().zip(dists).collect();
 
-        assemble_oracle(OracleParts {
-            eps,
-            r0,
-            h,
-            root,
-            nodes,
-            leaf_of_site,
-            entries,
-            ordered_keys: !canonical,
-        })
+        assemble_oracle(
+            OracleParts {
+                eps,
+                r0,
+                h,
+                root,
+                nodes,
+                leaf_of_site,
+                entries,
+                ordered_keys: !canonical,
+            },
+            payload.len(),
+        )
     }
 
     /// Deserializes from an in-memory buffer.
@@ -675,11 +692,20 @@ struct OracleParts {
 }
 
 /// Rebuilds children lists, validates every tree invariant (root, parent
-/// layering, leaf mapping) and every pair key (both node ids in range,
-/// distinct keys), and constructs the oracle.
-fn assemble_oracle(parts: OracleParts) -> Result<SeOracle, PersistError> {
+/// layering, leaf mapping), every pair key (both node ids in range,
+/// distinct keys) and the size of the layer table against the
+/// `payload_len` bytes the parts came from, constructs the oracle, and
+/// checks that it stores every leaf self pair.
+fn assemble_oracle(parts: OracleParts, payload_len: usize) -> Result<SeOracle, PersistError> {
     let OracleParts { eps, r0, h, root, mut nodes, leaf_of_site, mut entries, ordered_keys } =
         parts;
+    // The oracle keeps `n_sites × (h + 1)` `u32` layer-array entries. Each
+    // count is bounded alone, but their product can still amplify a small
+    // payload, as a tall tree over many sites does.
+    let table_bytes = leaf_of_site.len() as u64 * (u64::from(h) + 1) * 4;
+    if exceeds_load_budget(table_bytes, payload_len) {
+        return Err(PersistError::Corrupt("implausible tree height"));
+    }
     let n_nodes = nodes.len();
     if root as usize >= n_nodes {
         return Err(PersistError::Corrupt("root out of range"));
@@ -722,7 +748,11 @@ fn assemble_oracle(parts: OracleParts) -> Result<SeOracle, PersistError> {
     }
 
     let ctree = CompressedTree { nodes, root, r0, h, leaf_of_site };
-    Ok(SeOracle::from_parts(eps, ctree, entries))
+    let oracle = SeOracle::from_parts(eps, ctree, entries);
+    if !oracle.stores_leaf_self_pairs() {
+        return Err(PersistError::Corrupt("leaf self pair missing"));
+    }
+    Ok(oracle)
 }
 
 /// Re-keys a v1 or v2 image's ordered entries canonically, in place, with
@@ -911,8 +941,7 @@ pub(crate) fn parse_seat_layout(payload: &[u8], version: u32) -> Result<SeatLayo
     // occurrence, and 8+ per tile (its directory entry plus the nested
     // image's frame). The labels' reach rows hold `n_sites × n_portals`
     // f64s, a product each count's own bound leaves quadratic in the
-    // payload, so it is held to 32 × payload + 64 KiB: the per-allocation
-    // bound a tampered image's load must meet.
+    // payload, so it is held to `exceeds_load_budget`.
     let rem = payload.len() - c.at;
     let plausible = if compact {
         n_sites <= rem / 4 && n_tiles <= rem / 8 && n_portals <= rem / 2
@@ -920,7 +949,7 @@ pub(crate) fn parse_seat_layout(payload: &[u8], version: u32) -> Result<SeatLayo
         n_sites <= rem / 8 && n_tiles <= rem / 8 && n_portals <= rem / 8
     };
     let reach_bytes = (n_sites as u64).saturating_mul(n_portals as u64).saturating_mul(8);
-    if !plausible || reach_bytes > 32 * payload.len() as u64 + 65536 {
+    if !plausible || exceeds_load_budget(reach_bytes, payload.len()) {
         return Err(PersistError::Corrupt("implausible atlas counts"));
     }
 
@@ -1514,25 +1543,46 @@ mod tests {
         ));
     }
 
-    /// A checksum-valid v3 image of a one-node, one-site oracle whose only
-    /// pair key is `key`.
-    fn one_node_image(key: u64) -> Vec<u8> {
+    /// A checksum-valid v3 image of a tree of height `h` with `nodes` as
+    /// `(center, layer, parent)`, radii 0, `leaves` as `leaf_of_site`,
+    /// and `pairs` as `(key, distance)` in ascending key order.
+    fn v3_image(
+        h: u32,
+        nodes: &[(u32, u32, u32)],
+        leaves: &[u32],
+        pairs: &[(u64, f64)],
+    ) -> Vec<u8> {
         let mut p = Vec::new();
         p.extend_from_slice(&0.5f64.to_le_bytes()); // ε
         p.extend_from_slice(&0.0f64.to_le_bytes()); // r0
-        p.extend_from_slice(&0u32.to_le_bytes()); // h
+        p.extend_from_slice(&h.to_le_bytes());
         p.extend_from_slice(&0u32.to_le_bytes()); // root
-        p.extend_from_slice(&1u32.to_le_bytes()); // node count
-        for v in [0, 0, u64::from(NO_NODE)] {
-            write_varint(&mut p, v); // center, layer, parent
+        p.extend_from_slice(&(nodes.len() as u32).to_le_bytes());
+        for field in 0..3 {
+            for &(center, layer, parent) in nodes {
+                write_varint(&mut p, u64::from([center, layer, parent][field]));
+            }
         }
-        write_qtable(&mut p, &[0.0], false); // radii
-        p.extend_from_slice(&1u32.to_le_bytes()); // site count
-        write_varint(&mut p, 0); // leaf_of_site
-        p.extend_from_slice(&1u64.to_le_bytes()); // pair count
-        write_varint(&mut p, key);
-        write_qtable(&mut p, &[1.0], false);
+        write_qtable(&mut p, &vec![0.0; nodes.len()], false); // radii
+        p.extend_from_slice(&(leaves.len() as u32).to_le_bytes());
+        for &leaf in leaves {
+            write_varint(&mut p, u64::from(leaf));
+        }
+        p.extend_from_slice(&(pairs.len() as u64).to_le_bytes());
+        let mut prev = 0;
+        for &(k, _) in pairs {
+            write_varint(&mut p, k - prev);
+            prev = k;
+        }
+        let dists: Vec<f64> = pairs.iter().map(|&(_, d)| d).collect();
+        write_qtable(&mut p, &dists, false);
         framed(MAGIC, ORACLE_VERSION_COMPACT, p)
+    }
+
+    /// A checksum-valid v3 image of a one-node, one-site oracle whose only
+    /// pair key is `key`.
+    fn one_node_image(key: u64) -> Vec<u8> {
+        v3_image(0, &[(0, 0, NO_NODE)], &[0], &[(key, 1.0)])
     }
 
     #[test]
@@ -1548,6 +1598,47 @@ mod tests {
                 "key {key:#x}"
             );
         }
+    }
+
+    #[test]
+    fn hostile_tree_height_is_corrupt_not_an_allocation() {
+        // A root and ten leaves at layer MAX_TREE_HEIGHT, every leaf self
+        // pair stored: each count passes its own bound, but the layer table
+        // a load fills (ten rows of 4,097 entries) is past what the
+        // payload can justify.
+        let h = MAX_TREE_HEIGHT;
+        let mut nodes = vec![(0, 0, NO_NODE)];
+        nodes.extend((0..10).map(|site| (site, h, 0)));
+        let leaves: Vec<u32> = (1..=10).collect();
+        let pairs: Vec<(u64, f64)> = leaves.iter().map(|&l| (pair_key(l, l), 0.0)).collect();
+        let image = v3_image(h, &nodes, &leaves, &pairs);
+        let table = 10 * (h as usize + 1) * 4;
+        assert!(table > 32 * (image.len() - 24) + 65536, "{table} B from {} B", image.len());
+        assert!(matches!(
+            SeOracle::load_bytes(&image),
+            Err(PersistError::Corrupt("implausible tree height"))
+        ));
+        // The same tree one layer deep loads.
+        let nodes: Vec<_> = nodes.iter().map(|&(c, l, p)| (c, l.min(1), p)).collect();
+        let shallow = SeOracle::load_bytes(&v3_image(1, &nodes, &leaves, &pairs)).unwrap();
+        assert_eq!(shallow.distance(3, 3), 0.0);
+    }
+
+    #[test]
+    fn an_image_missing_a_leaf_self_pair_is_corrupt() {
+        // Every built oracle stores every leaf's self pair, so an image
+        // without one is hollow: rejected at load, not at its first query.
+        let o = oracle(10, 61, 0.25);
+        let leaf = o.tree().leaf_of_site[3];
+        let one_short = o.pair_entries().filter(|&(k, _)| k != pair_key(leaf, leaf)).collect();
+        for entries in [vec![], one_short] {
+            let hostile = SeOracle::from_parts(o.epsilon(), o.tree().clone(), entries);
+            assert!(matches!(
+                SeOracle::load_bytes(&hostile.save_bytes_compact(false)),
+                Err(PersistError::Corrupt("leaf self pair missing"))
+            ));
+        }
+        assert!(SeOracle::load_bytes(&o.save_bytes_compact(false)).is_ok());
     }
 
     #[test]

@@ -364,9 +364,10 @@ impl SeOracle {
 
 /// The layer array of a site, exposed for diagnostics: which compressed
 /// tree nodes lie on its root path at each layer (`NO_NODE` where the
-/// path skips a layer).
+/// path skips a layer). A copy of the row of the oracle's layer table
+/// that its queries read.
 pub fn root_path_layers(oracle: &SeOracle, site: usize) -> Vec<u32> {
-    let a = oracle.tree().layer_array(site);
+    let a = oracle.layer_row(site).to_vec();
     debug_assert!(a.iter().any(|&x| x != NO_NODE));
     a
 }

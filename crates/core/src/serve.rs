@@ -154,10 +154,9 @@ impl std::fmt::Debug for QueryHandle {
 /// the worker pool, and concatenates answers and probe counts in shard
 /// order (the first failing shard's error wins) — the parallel driver
 /// behind both backends' `distance_many_par`. Shards are a few per worker
-/// so uneven probe costs balance through the pool's atomic queue without
-/// fragmenting the per-shard amortization. Empty and single-pair slices
-/// run inline without touching the pool (an empty one never calls
-/// `kernel`).
+/// (at least 64 pairs each), so uneven probe costs balance through the
+/// pool's atomic queue. Empty and single-pair slices run inline without
+/// touching the pool (an empty one never calls `kernel`).
 pub(crate) fn shard_pairs(
     pairs: &[(u32, u32)],
     threads: usize,
@@ -235,7 +234,7 @@ mod tests {
     fn batch_matches_individual_queries() {
         let h = handle(18, 3, 0.2);
         let n = h.n_sites();
-        let pairs = all_pairs(n); // n² ≥ n pairs: exercises the dense path
+        let pairs = all_pairs(n);
         let batch = h.distance_many(&pairs);
         for (&(s, t), &d) in pairs.iter().zip(&batch) {
             assert_eq!(d.to_bits(), h.distance(s as usize, t as usize).to_bits(), "pair ({s},{t})");
@@ -243,10 +242,10 @@ mod tests {
     }
 
     #[test]
-    fn small_batch_uses_scratch_and_matches() {
+    fn batch_with_shared_endpoints_matches() {
         let h = handle(16, 5, 0.2);
-        // Fewer pairs than sites, with shared endpoints in both roles and
-        // an (s, t) → (t, s) swap: the two-slot memo's hit patterns.
+        // Fewer pairs than sites, with shared endpoints in both roles, an
+        // (s, t) → (t, s) swap, a self pair and a repeated pair.
         let pairs = [(0, 1), (0, 2), (2, 0), (3, 3), (3, 0), (1, 2), (1, 2)];
         let batch = h.distance_many(&pairs);
         for (&(s, t), &d) in pairs.iter().zip(&batch) {
@@ -303,8 +302,8 @@ mod tests {
         let h = handle(6, 17, 0.3);
         // The parallel driver must return immediately on an empty slice,
         // for every thread spec including auto-detect — the early return
-        // fires before any pool or dense-table work. `shard_pairs` itself
-        // must never invoke its closure for an empty slice.
+        // fires before any pool work. `shard_pairs` itself must never
+        // invoke its closure for an empty slice.
         for threads in [0usize, 1, 8] {
             assert_eq!(h.distance_many_par(&[], threads), Vec::<f64>::new());
         }

@@ -321,9 +321,9 @@ fn assert_parse_contained(kind: Kind, bytes: &[u8], what: &str) {
 }
 
 /// Queries every site pair of a loaded tampered image through its checked
-/// kernel, in one batch and one pair at a time (for an oracle, its dense
-/// and its scratch path). Each call must return — answers finite and
-/// non-negative, or a typed [`QueryError`]; a panic fails the test.
+/// kernel, in one batch and one pair at a time. Each call must return —
+/// answers finite and non-negative, or a typed [`QueryError`]; a panic
+/// fails the test.
 fn query_every_pair(
     n: usize,
     kernel: impl Fn(&[(u32, u32)]) -> Result<(Vec<f64>, ProbeStats), QueryError>,
@@ -491,6 +491,49 @@ fn v2_fixtures_decode_to_their_constructors() {
             let (got, want) = (loaded.distance(s, t), built.distance(s, t));
             assert_eq!(got.to_bits(), want.to_bits(), "atlas-l4: d({s},{t})");
         }
+    }
+}
+
+/// FNV-1a over the little-endian bytes of every ordered pair's answer,
+/// row by row (`s` ascending, one `distance_many_checked_with_stats` of
+/// `(s, 0..n)` per row), and the rows' summed probe count.
+fn answer_digest(o: &SeOracle) -> (u64, u64) {
+    let n = o.n_sites() as u32;
+    let (mut bytes, mut probes) = (Vec::new(), 0);
+    for s in 0..n {
+        let row: Vec<(u32, u32)> = (0..n).map(|t| (s, t)).collect();
+        let (answers, stats) = o.distance_many_checked_with_stats(&row).unwrap();
+        bytes.extend(answers.into_iter().flat_map(f64::to_le_bytes));
+        probes += stats.probes;
+    }
+    (fnv1a(&bytes), probes)
+}
+
+/// Answers and probe counts pinned across revisions: every ordered pair
+/// of each checked-in `SEOR` fixture hashes to the digest recorded when
+/// they were first pinned, answered in rows and as single `distance`
+/// calls in the same order. Fixture answers are stored distances, so the
+/// digests hold on every platform; a kernel change that moves one bit of
+/// one answer, or one probe, fails here.
+#[test]
+fn seor_fixture_answers_hold_their_recorded_digests() {
+    let fixtures: [(&str, &[u8], u64, u64); 4] = [
+        ("v1/oracle-l4", seor_level4(), 0xb6bd_be55_220c_6799, 256),
+        ("v1/oracle-l5", seor_level5(), 0x31ce_6491_0277_bd89, 644),
+        ("v2/oracle-l5", seor_level5_fixture_v2(), 0x31ce_6491_0277_bd89, 644),
+        ("v2/oracle-l5-c", seor_level5_fixture_v2_compressed(), 0xe646_50e3_c21f_3e79, 644),
+    ];
+    for (name, image, want, want_probes) in fixtures {
+        let o = SeOracle::load_bytes(image).unwrap();
+        let (got, probes) = answer_digest(&o);
+        assert_eq!(got, want, "{name}: digest {got:#018x}, recorded {want:#018x}");
+        assert_eq!(probes, want_probes, "{name}: probes");
+        let n = o.n_sites();
+        let singles: Vec<u8> = (0..n)
+            .flat_map(|s| (0..n).map(move |t| (s, t)))
+            .flat_map(|(s, t)| o.distance(s, t).to_le_bytes())
+            .collect();
+        assert_eq!(fnv1a(&singles), want, "{name}: single calls");
     }
 }
 

@@ -77,8 +77,8 @@ proptest! {
         }
     }
 
-    /// Contract 1 for the panicking API over in-range pairs, crossing the
-    /// sparse (two-slot scratch) and dense (all-layer-arrays) batch paths.
+    /// Contract 1 for the panicking API over in-range pairs, in batches
+    /// of 1 to 299 pairs on 1 to 4 threads.
     #[test]
     fn batch_agrees_with_sequential_distance(
         raw in proptest::collection::vec((0u32..1000, 0u32..1000), 1..300),
