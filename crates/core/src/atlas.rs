@@ -288,8 +288,8 @@ impl AtlasTile {
 /// tiles only through [`Atlas::tile`], which hands out an [`Arc`] either
 /// way. A batch keeps the `Arc`s of at most three tiles in its pin set
 /// ([`RouteScratch::tile`]), so eviction never invalidates an answer in
-/// flight; decoded memory beyond the store's budget is at most three
-/// pinned tiles per batch in flight.
+/// flight; decoded memory beyond the store's budget is at most, per
+/// batch in flight, its three pinned tiles plus one tile it is decoding.
 enum TileSet {
     Resident(Vec<Arc<AtlasTile>>),
     Store(TileStore),

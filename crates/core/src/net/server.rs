@@ -15,9 +15,22 @@
 //! # Backpressure
 //!
 //! The queue is bounded by [`ServeConfig::queue_cap`]; admission past the
-//! bound answers [`Response::Busy`] immediately instead of growing memory.
-//! Together with the wire-frame cap this bounds per-connection and
-//! aggregate memory regardless of client behaviour.
+//! bound answers [`Response::Busy`] immediately instead of growing memory,
+//! and the wire-frame cap bounds each request a reader decodes. That
+//! bounds the requests waiting for the batcher, not the whole process.
+//! Two things are unbounded today:
+//!
+//! * **replies a connection has not written yet**: each connection's
+//!   reply channel (the `mpsc::channel` in `connection_loop`) is
+//!   unbounded, and its reader keeps admitting while the shared queue
+//!   drains, so a client that sends fast but reads slowly grows the
+//!   server without limit (a probe with one such client grew the
+//!   process by about 100 MB/s);
+//! * **connections**: each accepted connection starts a reader and a
+//!   writer thread, with no cap on their number.
+//!
+//! ROADMAP item 4 ("Isolation") plans a per-connection reply window and
+//! a connection cap.
 //!
 //! # Shutdown
 //!

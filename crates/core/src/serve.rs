@@ -25,7 +25,12 @@
 //! are (re)loaded and each batch pins at most three tiles via `Arc` (the
 //! three it used most recently), so answers remain bit-identical to a
 //! fully resident atlas for any budget, thread count, and eviction
-//! schedule. Eviction order uses query-ordinal ticks, never a clock.
+//! schedule. Eviction order uses query-ordinal ticks, never a clock. The
+//! store's lock covers its bookkeeping and segment reads, not the decode:
+//! the shards of a `_par` batch, or any threads sharing a handle, decode
+//! different tiles at once and wait on one another only for the same
+//! tile, which is decoded once. Beyond the budget, each such caller holds
+//! its three pins and at most one tile it is decoding.
 
 // lint: query-path
 use crate::oracle::{ProbeStats, QueryError, SeOracle};

@@ -583,9 +583,10 @@ fn cmd_atlas_query(args: &[String]) -> Result<(), String> {
     if let Some(store) = handle.atlas().tile_store() {
         let s = store.stats();
         eprintln!(
-            "out-of-core: {} hits / {} misses / {} evictions, {} of {} tiles resident \
-             ({} / {} bytes)",
+            "out-of-core: {} hits ({} load waits) / {} misses / {} evictions, {} of {} tiles \
+             resident ({} / {} bytes)",
             s.hits,
+            s.load_waits,
             s.misses,
             s.evictions,
             s.resident_tiles,

@@ -172,6 +172,7 @@ fn gauges_and_counters_reconcile_in_the_registry() {
     assert_eq!(metric("atlas_tile_hits_total"), stats.hits);
     assert_eq!(metric("atlas_tile_misses_total"), stats.misses);
     assert_eq!(metric("atlas_tile_loads_total"), stats.loads);
+    assert_eq!(metric("atlas_tile_load_waits_total"), stats.load_waits);
     assert_eq!(metric("atlas_tile_evictions_total"), stats.evictions);
     assert_eq!(metric("atlas_tiles_resident"), stats.resident_tiles as u64);
     assert_eq!(metric("atlas_resident_bytes"), stats.resident_bytes as u64);
