@@ -52,8 +52,9 @@
 //! for every atlas and charged by [`Atlas::storage_bytes`]. Building them
 //! takes one exit-leg batch per tile and one Dijkstra per site. The reach
 //! rows grow as `n_sites × n_portals`, so at scale they outgrow the portal
-//! graph they summarise. The out-of-core open computes the exit legs in the
-//! pass that validates every tile, so it loads no tile twice.
+//! graph they summarise. A load, resident or out of core, computes the exit
+//! legs in the one pass that validates every tile, so it decodes no tile
+//! twice.
 //!
 //! A batch is answered in **tile-affine order**: pairs grouped by their
 //! unordered home-tile pair, each answer written back to its input slot.
@@ -100,7 +101,10 @@ use crate::oracle::{
     SeOracle,
 };
 use crate::p2p::{make_engine, EngineKind};
-use crate::persist::PersistError;
+use crate::persist::{
+    decode_tile_segment, parse_seat_layout, read_framed, PersistError, ATLAS_MAGIC, ATLAS_VERSION,
+    ATLAS_VERSION_COMPACT, IMAGE_FRAME_CAP,
+};
 use crate::proximity::DetourPoi;
 use crate::route::ShortestPath;
 use crate::serve::shard_pairs;
@@ -111,6 +115,7 @@ use geodesic::steiner::SteinerGraph;
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt;
+use std::fs::File;
 use std::ops::Deref;
 use std::sync::Arc;
 use std::time::Duration;
@@ -460,12 +465,8 @@ impl Atlas {
             tiles.push(AtlasTile { oracle, portals: plan.portals, portal_table });
             legs.extend(tile_legs);
         }
-        if let Some(components) = routing_components(&portal_views(&tiles), n_portals) {
-            return Err(AtlasError::Unroutable { components });
-        }
-
-        let routing =
-            Box::new(PortalRouting::new(&portal_views(&tiles), n_portals, &site_home, legs));
+        let routing = PortalRouting::new(&portal_views(&tiles), n_portals, &site_home, legs)
+            .map_err(|components| AtlasError::Unroutable { components })?;
         let stats = AtlasBuildStats {
             total: span_total.finish(),
             tiling,
@@ -482,50 +483,9 @@ impl Atlas {
             tiles: TileSet::Resident(tiles.into_iter().map(Arc::new).collect()),
             site_home,
             site_members,
-            routing,
+            routing: Box::new(routing),
             stats,
             paths,
-        })
-    }
-
-    /// Reassembles an atlas from its persisted parts, re-deriving the
-    /// portal graph and the portal labels (the inverse of what
-    /// `save_to_compact` writes). Fails when the parts cannot route every
-    /// tile pair or a tile oracle fails an exit leg.
-    pub(crate) fn from_parts(
-        eps: f64,
-        tiles: Vec<AtlasTile>,
-        site_home: Vec<u32>,
-        site_members: Vec<Vec<(u32, u32)>>,
-        n_portals: usize,
-    ) -> Result<Self, &'static str> {
-        if routing_components(&portal_views(&tiles), n_portals).is_some() {
-            return Err("portal graph does not connect every tile");
-        }
-        let homed = homed_locals(&site_home, &site_members, tiles.len())?;
-        let mut legs = Vec::new();
-        for (tile, homed) in tiles.iter().zip(&homed) {
-            legs.extend(exit_legs(tile, homed)?);
-        }
-        let routing =
-            Box::new(PortalRouting::new(&portal_views(&tiles), n_portals, &site_home, legs));
-        let stats = AtlasBuildStats {
-            n_tiles: tiles.len(),
-            n_portals,
-            portal_edges: routing.graph_adj.len(),
-            tile_sites: tiles.iter().map(|t| t.oracle.n_sites()).collect(),
-            ..Default::default()
-        };
-        // Persisted images carry no tile meshes, so reloaded atlases are
-        // distance-only (see [`AtlasConfig::path_points_per_edge`]).
-        Ok(Self {
-            eps,
-            tiles: TileSet::Resident(tiles.into_iter().map(Arc::new).collect()),
-            site_home,
-            site_members,
-            routing,
-            stats,
-            paths: None,
         })
     }
 
@@ -533,15 +493,35 @@ impl Atlas {
     /// and are decoded on demand into an LRU of resident tiles capped at
     /// `resident_budget` decoded bytes (a budget smaller than one tile
     /// still admits that single tile — the floor is "one resident tile at
-    /// a time"). Opening validates the *entire* image once — frame
-    /// checksum, every tile segment, every membership — then drops the
-    /// decoded tiles again, so a corrupt image fails here and never inside
-    /// a query. Works for `SEAT` v1 and v2 images alike; answers are
+    /// a time"). Works for `SEAT` v1 and v2 images alike; answers are
     /// bit-identical to a fully resident [`Atlas::load_from`] of the same
     /// bytes, for any budget and any eviction schedule (see
-    /// `tests/out_of_core.rs`). The portal labels are built here too, the
-    /// exit legs in the same validating pass over the tiles, so the open
-    /// loads no tile through the store and leaves its counters at zero.
+    /// `tests/out_of_core.rs`).
+    ///
+    /// # Validation happens once, at open
+    ///
+    /// The open reads the whole image transiently through the frame reader
+    /// every image loader and the wire protocol share, so the frame header,
+    /// length and payload checksum are checked exactly as a resident load
+    /// checks them. It then runs the one validating pass that
+    /// [`Atlas::load_from`] runs, so the two accept the same images and
+    /// report the same fault for a corrupt one: every tile segment is
+    /// decoded once, one at a time (each nested oracle image carries its
+    /// own checksum), and yields the exit legs of the sites it homes; every
+    /// membership is checked against the decoded tiles; the portal graph is
+    /// checked for routability and the portal labels are built. A tile
+    /// whose oracle fails a label leg fails the open as
+    /// [`PersistError::Corrupt`]. The open keeps only each tile's portal
+    /// list and table, so besides the image bytes it holds one decoded tile
+    /// at a time, and it loads no tile through the store and leaves the
+    /// store's counters at zero.
+    ///
+    /// The file the open read through stays open for the store's tile
+    /// reads. After a successful open the only failures left on the tile
+    /// path are environmental — the backing file shrank or was rewritten
+    /// underneath the store. A query reports those as
+    /// [`QueryError::TileUnavailable`] without caching anything, so the
+    /// store stays healthy and the next miss on the tile reads it again.
     ///
     /// The store's hit/miss/load/eviction counters and resident gauges
     /// live in its own registry ([`TileStore::registry`], reached through
@@ -550,27 +530,95 @@ impl Atlas {
         path: &std::path::Path,
         resident_budget: usize,
     ) -> Result<Self, PersistError> {
-        let (store, meta) = TileStore::open(path, resident_budget)?;
-        let views: Vec<PortalView<'_>> =
-            meta.portal_data.iter().map(|(p, t)| (p.as_slice(), t.as_slice())).collect();
-        if routing_components(&views, meta.n_portals).is_some() {
-            return Err(PersistError::Corrupt("portal graph does not connect every tile"));
+        let mut file = File::open(path)?;
+        let versions = ATLAS_VERSION..=ATLAS_VERSION_COMPACT;
+        let (version, payload) = read_framed(&mut file, ATLAS_MAGIC, versions, IMAGE_FRAME_CAP)?;
+        Self::from_image(payload, version, Some((file, resident_budget)))
+    }
+
+    /// The one validating pass over a `SEAT` payload of format `version`
+    /// behind [`Atlas::load_from`] and [`Atlas::open_out_of_core`], whose
+    /// docs give its order. Without a `store` the atlas keeps the decoded
+    /// tiles. With one (the image's open file and a resident budget) it
+    /// keeps only their portal lists and tables until the labels are built,
+    /// and serves tiles from a [`TileStore`] over the file.
+    pub(crate) fn from_image(
+        payload: Vec<u8>,
+        version: u32,
+        store: Option<(File, usize)>,
+    ) -> Result<Self, PersistError> {
+        let layout = parse_seat_layout(&payload, version)?;
+        let n_tiles = layout.segments.len();
+        let homed = homed_locals(&layout.site_home, &layout.site_members, n_tiles)
+            .map_err(PersistError::Corrupt)?;
+        let mut oracles = Vec::new();
+        let mut portal_data = Vec::with_capacity(n_tiles);
+        let mut decoded_sizes = Vec::with_capacity(n_tiles);
+        let mut tile_sites = Vec::with_capacity(n_tiles);
+        let mut legs = Vec::new();
+        for (&(off, len), homed) in layout.segments.iter().zip(&homed) {
+            let tile = decode_tile_segment(&payload[off..off + len], version, layout.n_portals)?;
+            legs.extend(exit_legs(&tile, homed).map_err(PersistError::Corrupt)?);
+            decoded_sizes.push(tile.footprint());
+            tile_sites.push(tile.oracle.n_sites());
+            let AtlasTile { oracle, portals, portal_table } = tile;
+            if store.is_none() {
+                oracles.push(oracle);
+            }
+            portal_data.push((portals, portal_table));
         }
-        let routing =
-            Box::new(PortalRouting::new(&views, meta.n_portals, &meta.site_home, meta.exit_legs));
+        drop(payload);
+        // The layout checked every membership's tile; the local ids need
+        // the decoded tiles.
+        for members in &layout.site_members {
+            if members.iter().any(|&(t, l)| l as usize >= tile_sites[t as usize]) {
+                return Err(PersistError::Corrupt("site membership local id out of range"));
+            }
+        }
+        let views: Vec<PortalView<'_>> =
+            portal_data.iter().map(|(p, t)| (p.as_slice(), t.as_slice())).collect();
+        let routing = PortalRouting::new(&views, layout.n_portals, &layout.site_home, legs)
+            .map_err(|_| PersistError::Corrupt("portal graph does not connect every tile"))?;
         let stats = AtlasBuildStats {
-            n_tiles: store.n_tiles(),
-            n_portals: meta.n_portals,
+            n_tiles,
+            n_portals: layout.n_portals,
             portal_edges: routing.graph_adj.len(),
-            tile_sites: meta.tile_sites,
+            tile_sites,
             ..Default::default()
         };
+        let tiles = match store {
+            None => TileSet::Resident(
+                oracles
+                    .into_iter()
+                    .zip(portal_data)
+                    .map(|(oracle, (portals, portal_table))| {
+                        Arc::new(AtlasTile { oracle, portals, portal_table })
+                    })
+                    .collect(),
+            ),
+            Some((file, budget)) => {
+                // Segment spans are payload-relative; the 16-byte frame
+                // header precedes the payload in the file.
+                let segments =
+                    layout.segments.iter().map(|&(off, len)| (16 + off as u64, len)).collect();
+                TileSet::Store(TileStore::new(
+                    file,
+                    segments,
+                    decoded_sizes,
+                    version,
+                    layout.n_portals,
+                    budget,
+                ))
+            }
+        };
+        // Persisted images carry no tile meshes, so loaded atlases are
+        // distance-only (see [`AtlasConfig::path_points_per_edge`]).
         Ok(Self {
-            eps: meta.eps,
-            tiles: TileSet::Store(store),
-            site_home: meta.site_home,
-            site_members: meta.site_members,
-            routing,
+            eps: layout.eps,
+            tiles,
+            site_home: layout.site_home,
+            site_members: layout.site_members,
+            routing: Box::new(routing),
             stats,
             paths: None,
         })
@@ -1131,8 +1179,17 @@ struct PortalRouting {
 impl PortalRouting {
     /// Assembles the portal graph from every tile's portal view and the
     /// labels from `legs` (every tile's exit legs, concatenated in tile
-    /// order): one seeded Dijkstra per site.
-    fn new(views: &[PortalView<'_>], n_portals: usize, site_home: &[u32], legs: Vec<f64>) -> Self {
+    /// order): one seeded Dijkstra per site. Fails with the component count
+    /// when the portal graph does not connect every tile.
+    fn new(
+        views: &[PortalView<'_>],
+        n_portals: usize,
+        site_home: &[u32],
+        legs: Vec<f64>,
+    ) -> Result<Self, usize> {
+        if let Some(components) = routing_components(views, n_portals) {
+            return Err(components);
+        }
         let (graph_off, graph_adj) = build_portal_graph(views, n_portals);
         let mut tile_off = Vec::with_capacity(views.len() + 1);
         tile_off.push(0u32);
@@ -1171,7 +1228,7 @@ impl PortalRouting {
             }
         }
         routing.reach = reach;
-        routing
+        Ok(routing)
     }
 
     fn n_portals(&self) -> usize {
@@ -1284,7 +1341,7 @@ fn site_portal_pairs(portals: &[(u32, u32)], sites: &[u32]) -> Vec<(u32, u32)> {
 /// ascending by global site), through its oracle's checked kernel. A
 /// local id outside the tile or a failing leg means a corrupt image, so
 /// loads report it here and a query never meets it.
-pub(crate) fn exit_legs(tile: &AtlasTile, homed: &[u32]) -> Result<Vec<f64>, &'static str> {
+fn exit_legs(tile: &AtlasTile, homed: &[u32]) -> Result<Vec<f64>, &'static str> {
     if homed.iter().any(|&l| l as usize >= tile.oracle.n_sites()) {
         return Err("site membership local id out of range");
     }
@@ -1297,7 +1354,7 @@ pub(crate) fn exit_legs(tile: &AtlasTile, homed: &[u32]) -> Result<Vec<f64>, &'s
 
 /// Per tile, the local ids of the sites it homes, ascending by global
 /// site: what [`exit_legs`] takes.
-pub(crate) fn homed_locals(
+fn homed_locals(
     site_home: &[u32],
     site_members: &[Vec<(u32, u32)>],
     n_tiles: usize,
@@ -1311,10 +1368,9 @@ pub(crate) fn homed_locals(
 }
 
 /// One tile's contribution to the portal graph — its `(global, local)`
-/// portal list and row-major portal table — borrowed from wherever the
-/// tile currently lives (a resident [`AtlasTile`] or the out-of-core
-/// store's transient open-time decode).
-pub(crate) type PortalView<'a> = (&'a [(u32, u32)], &'a [f64]);
+/// portal list and row-major portal table — borrowed from a built tile or
+/// from what a load keeps of a decoded one.
+type PortalView<'a> = (&'a [(u32, u32)], &'a [f64]);
 
 /// The portal views of a resident tile slice.
 fn portal_views(tiles: &[AtlasTile]) -> Vec<PortalView<'_>> {

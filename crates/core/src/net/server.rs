@@ -45,7 +45,7 @@ use super::protocol::{
 };
 use super::stats::Counters;
 use crate::atlas::{Atlas, AtlasHandle};
-use crate::oracle::{ProbeStats, QueryError, SeOracle};
+use crate::oracle::{check_range, ProbeStats, QueryError, SeOracle};
 use crate::persist::{PersistError, ATLAS_MAGIC, ORACLE_MAGIC};
 use crate::serve::QueryHandle;
 use obs::log;
@@ -484,45 +484,24 @@ fn handle_frame(payload: &[u8], sh: &Arc<Shared>, tx: &mpsc::Sender<Vec<u8>>) ->
             return false;
         }
     };
+    // A request refused at admission: counted as an error, answered at once.
+    let refuse = |id, code, message| {
+        sh.stats.errors.inc();
+        let _ = tx.send(encode_response(&Response::Error { id, code, message }));
+    };
     match req {
-        Request::Distance { id, pairs } => {
-            let n = sh.backend.n_sites();
-            if let Some((index, &(s, t))) =
-                pairs.iter().enumerate().find(|&(_, &(s, t))| s as usize >= n || t as usize >= n)
-            {
-                let site = if s as usize >= n { s } else { t };
-                sh.stats.errors.inc();
-                let _ = tx.send(encode_response(&Response::Error {
-                    id,
-                    code: ErrorCode::SiteOutOfRange,
-                    message: format!("pair #{index}: site id {site} out of range for {n} sites"),
-                }));
-                return true;
-            }
-            enqueue(sh, tx, id, Job::Distance { id, pairs, reply: tx.clone() });
-        }
+        Request::Distance { id, pairs } => match check_range(&pairs, sh.backend.n_sites()) {
+            Ok(()) => enqueue(sh, tx, id, Job::Distance { id, pairs, reply: tx.clone() }),
+            Err(e) => refuse(id, error_code(&e), e.to_string()),
+        },
         Request::Path { id, s, t } => {
-            let n = sh.backend.n_sites();
             if !sh.backend.has_paths() {
-                sh.stats.errors.inc();
-                let _ = tx.send(encode_response(&Response::Error {
-                    id,
-                    code: ErrorCode::Unsupported,
-                    message: "image has no path index".to_string(),
-                }));
-                return true;
+                refuse(id, ErrorCode::Unsupported, "image has no path index".to_string());
+            } else if let Err(e) = check_range(&[(s, t)], sh.backend.n_sites()) {
+                refuse(id, error_code(&e), e.to_string());
+            } else {
+                enqueue(sh, tx, id, Job::Path { id, s, t, reply: tx.clone() });
             }
-            if s as usize >= n || t as usize >= n {
-                let site = if s as usize >= n { s } else { t };
-                sh.stats.errors.inc();
-                let _ = tx.send(encode_response(&Response::Error {
-                    id,
-                    code: ErrorCode::SiteOutOfRange,
-                    message: format!("site id {site} out of range for {n} sites"),
-                }));
-                return true;
-            }
-            enqueue(sh, tx, id, Job::Path { id, s, t, reply: tx.clone() });
         }
         Request::Metrics { id } => {
             let _ = tx.send(encode_response(&Response::Metrics { id, text: metrics_text(sh) }));

@@ -126,9 +126,9 @@ impl BuildStats {
     /// Records these stats into `reg` under `build_*` metric names —
     /// phase wall clocks as `_us` gauges, SSAD/cache tallies as
     /// counters, and structural sizes as gauges. [`SeOracle::build`]
-    /// calls this on [`obs::global`] so any registry consumer (the
-    /// `Metrics` wire verb, `bench snapshot`) sees construction cost
-    /// without threading `BuildStats` around.
+    /// calls this on [`obs::global`] so a registry consumer such as
+    /// perfbench sees construction cost without threading `BuildStats`
+    /// around.
     pub fn record_to(&self, reg: &obs::Registry) {
         let us = |d: Duration| d.as_micros() as u64;
         reg.gauge("build_total_us").set(us(self.total));

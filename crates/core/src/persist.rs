@@ -14,7 +14,7 @@
 //! format-version word, the payload length, the payload, and an FNV-1a
 //! checksum over the payload. `framed` is the one frame writer and
 //! `read_framed` the one frame reader (the wire protocol and the
-//! out-of-core `TileStore` use them too), so a magic or version mismatch
+//! out-of-core open use them too), so a magic or version mismatch
 //! fails identically (and actionably — the error names the found and the
 //! supported version) everywhere, and future format revisions bump one
 //! constant per kind.
@@ -472,23 +472,7 @@ impl SeOracle {
 
     fn parse_payload_v1(payload: &[u8]) -> Result<Self, PersistError> {
         let mut c = Cursor { buf: payload, at: 0 };
-        let eps = c.f64()?;
-        if !(eps > 0.0 && eps.is_finite()) {
-            return Err(PersistError::Corrupt("invalid ε"));
-        }
-        let r0 = c.f64()?;
-        if !(r0.is_finite() && r0 >= 0.0) {
-            return Err(PersistError::Corrupt("root radius not a finite length"));
-        }
-        let h = c.u32()?;
-        // `h + 1` is the row length of the layer table, so a hostile
-        // height is an allocation amplifier. The paper reports h < 30 on
-        // every dataset; 4096 is far beyond any real terrain while keeping
-        // one row at 16 KiB.
-        if h > MAX_TREE_HEIGHT {
-            return Err(PersistError::Corrupt("implausible tree height"));
-        }
-        let root = c.u32()?;
+        let (eps, r0, h, root) = read_oracle_head(&mut c)?;
         // Counts are image-supplied and drive allocations; bound each by
         // what the remaining payload could possibly encode (a node costs
         // 20 bytes, a leaf entry 4, a pair entry 16) before reserving.
@@ -553,19 +537,7 @@ impl SeOracle {
     /// `a ≤ b`; a v2 payload's ordered keys are canonicalised afterwards.
     fn parse_payload_compact(payload: &[u8], canonical: bool) -> Result<Self, PersistError> {
         let mut c = Cursor { buf: payload, at: 0 };
-        let eps = c.f64()?;
-        if !(eps > 0.0 && eps.is_finite()) {
-            return Err(PersistError::Corrupt("invalid ε"));
-        }
-        let r0 = c.f64()?;
-        if !(r0.is_finite() && r0 >= 0.0) {
-            return Err(PersistError::Corrupt("root radius not a finite length"));
-        }
-        let h = c.u32()?;
-        if h > MAX_TREE_HEIGHT {
-            return Err(PersistError::Corrupt("implausible tree height"));
-        }
-        let root = c.u32()?;
+        let (eps, r0, h, root) = read_oracle_head(&mut c)?;
         // A compact node costs at least 4 payload bytes (three 1-byte varints
         // plus ≥ 1 radii-table byte); bound the count before reserving.
         let n_nodes = c.u32()? as usize;
@@ -672,6 +644,25 @@ impl SeOracle {
         let mut r = bytes;
         Self::load_from(&mut r)
     }
+}
+
+/// Reads the head every `SEOR` payload opens with: ε, the root radius
+/// `r0`, the tree height `h` (at most [`MAX_TREE_HEIGHT`]) and the root
+/// id, checking the first three as they arrive.
+fn read_oracle_head(c: &mut Cursor<'_>) -> Result<(f64, f64, u32, u32), PersistError> {
+    let eps = c.f64()?;
+    if !(eps > 0.0 && eps.is_finite()) {
+        return Err(PersistError::Corrupt("invalid ε"));
+    }
+    let r0 = c.f64()?;
+    if !(r0.is_finite() && r0 >= 0.0) {
+        return Err(PersistError::Corrupt("root radius not a finite length"));
+    }
+    let h = c.u32()?;
+    if h > MAX_TREE_HEIGHT {
+        return Err(PersistError::Corrupt("implausible tree height"));
+    }
+    Ok((eps, r0, h, c.u32()?))
 }
 
 /// The decoded-but-unvalidated pieces of an oracle image, shared by the v1
@@ -860,37 +851,23 @@ impl Atlas {
     }
 
     /// Deserializes a v2 atlas image written by [`Self::save_to_compact`]
-    /// or a v1 image from an earlier build, validating the checksum, every
-    /// nested oracle image, the membership and portal tables, and tile
-    /// routability, and building the portal labels (a tile oracle that
-    /// fails an exit leg is [`PersistError::Corrupt`]) before returning.
-    /// Both versions flow through `parse_seat_layout` +
-    /// `decode_tile_segment` — the same pair the out-of-core `TileStore`
-    /// uses, so a fully-resident load and a lazy one decode identical
-    /// bytes identically.
+    /// or a v1 image from an earlier build, keeping every tile resident.
+    ///
+    /// # Validation happens once, at load
+    ///
+    /// After the frame (magic, version, length, checksum) the load runs the
+    /// one validating pass that [`Atlas::open_out_of_core`] runs, so the
+    /// two accept the same images, decode them identically and report the
+    /// same fault for a corrupt one: every tile segment is decoded once,
+    /// one at a time (each nested oracle image carries its own checksum),
+    /// and yields the exit legs of the sites it homes; every membership is
+    /// checked against the decoded tiles; the portal graph is checked for
+    /// routability and the portal labels are built. A tile oracle that
+    /// fails an exit leg is [`PersistError::Corrupt`].
     pub fn load_from<R: Read>(r: &mut R) -> Result<Self, PersistError> {
         let (version, payload) =
             read_framed(r, ATLAS_MAGIC, ATLAS_VERSION..=ATLAS_VERSION_COMPACT, IMAGE_FRAME_CAP)?;
-        let layout = parse_seat_layout(&payload, version)?;
-        let mut tiles = Vec::with_capacity(layout.segments.len());
-        for &(off, len) in &layout.segments {
-            tiles.push(decode_tile_segment(&payload[off..off + len], version, layout.n_portals)?);
-        }
-        for members in &layout.site_members {
-            let ok =
-                members.iter().all(|&(t, l)| (l as usize) < tiles[t as usize].oracle.n_sites());
-            if !ok {
-                return Err(PersistError::Corrupt("site membership local id out of range"));
-            }
-        }
-        Atlas::from_parts(
-            layout.eps,
-            tiles,
-            layout.site_home,
-            layout.site_members,
-            layout.n_portals,
-        )
-        .map_err(PersistError::Corrupt)
+        Atlas::from_image(payload, version, None)
     }
 
     /// Deserializes from an in-memory buffer.
@@ -902,9 +879,9 @@ impl Atlas {
 
 /// The structural skeleton of a `SEAT` payload: everything *except* the
 /// decoded tiles — shared metadata plus the byte span of every tile
-/// segment (relative to the payload). [`Atlas::load_from`] decodes all
-/// segments eagerly; the out-of-core `TileStore` keeps the spans and
-/// decodes per miss.
+/// segment (relative to the payload). Every load decodes each segment once
+/// to validate it; an out-of-core atlas's `TileStore` keeps the spans and
+/// decodes a segment again per miss.
 pub(crate) struct SeatLayout {
     pub(crate) eps: f64,
     pub(crate) n_portals: usize,

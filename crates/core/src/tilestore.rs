@@ -1,33 +1,16 @@
 //! Out-of-core backing store for atlas tiles.
 //!
-//! A [`TileStore`] keeps one open handle on a `SEAT` image (v1 or v2) and
-//! decodes tile segments on demand, holding at most `resident_budget`
-//! decoded bytes in memory. [`crate::Atlas::open_out_of_core`] routes every
-//! tile access through `TileStore::tile`, which returns an `Arc`. An atlas
-//! batch keeps the `Arc`s of the three tiles it used most recently in a
-//! pin set and asks the store only for a tile it has not pinned, so
-//! eviction mid-batch never invalidates data the batch still reads (see
+//! A [`TileStore`] keeps one open handle on a `SEAT` image (v1 or v2) that
+//! [`crate::Atlas::open_out_of_core`] has already validated, and decodes
+//! tile segments on demand, holding at most `resident_budget` decoded
+//! bytes in memory. It is a residency cache and nothing more: the open
+//! reads the image, validates every tile and hands the store the segment
+//! spans and decoded sizes it measured. The atlas routes every tile access
+//! through `TileStore::tile`, which returns an `Arc`. An atlas batch keeps
+//! the `Arc`s of the three tiles it used most recently in a pin set and
+//! asks the store only for a tile it has not pinned, so eviction mid-batch
+//! never invalidates data the batch still reads (see
 //! [Concurrency](#concurrency) for the memory bound this gives).
-//!
-//! # Validation happens once, at open
-//!
-//! `TileStore::open` reads the whole image transiently through
-//! `persist::read_framed`, the frame reader every image loader and the wire
-//! protocol share, so the frame header, length and payload checksum are
-//! checked exactly as a resident load checks them. It then validates
-//! **every** tile segment (each nested oracle image carries its own
-//! checksum), retains the atlas-level metadata (portal lists, portal
-//! tables, site membership), computes the exit legs of the sites each tile
-//! homes for the atlas's portal labels while the tile is decoded, and
-//! drops the decoded tiles again — so building the labels loads no tile
-//! through the store and leaves its counters alone. A tile whose oracle
-//! fails a label leg fails the open as [`PersistError::Corrupt`]. The file
-//! handle it read through stays open for the store's tile reads. After a
-//! successful open the only failures left on the tile path are
-//! environmental — the backing file shrank or was rewritten underneath
-//! us. `TileStore::tile` reports those as [`QueryError::TileUnavailable`]
-//! without caching anything, so the store stays healthy and the next miss
-//! on the tile reads it again.
 //!
 //! # Concurrency
 //!
@@ -73,7 +56,6 @@
 
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
-use std::path::Path;
 use std::sync::Arc;
 // The store is the one deliberately stateful piece of the query path: an
 // LRU cache *is* interior mutability. All of it lives behind this single
@@ -81,40 +63,9 @@ use std::sync::Arc;
 // lint: allow(d3, "LRU residency cache: single lock, query-ordinal ticks, decoded tiles immutable behind Arc")
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
-use crate::atlas::{exit_legs, homed_locals, AtlasTile};
+use crate::atlas::AtlasTile;
 use crate::oracle::QueryError;
-use crate::persist::{
-    decode_tile_segment, parse_seat_layout, read_framed, PersistError, ATLAS_MAGIC, ATLAS_VERSION,
-    ATLAS_VERSION_COMPACT, IMAGE_FRAME_CAP,
-};
-
-/// Per-tile portal payload: the tile's `(portal ids, portal–portal
-/// distance table)`, kept resident so routing never loads a tile.
-pub(crate) type PortalData = (Vec<(u32, u32)>, Vec<f64>);
-
-/// Atlas-level metadata collected while `TileStore::open` validates the
-/// image — everything [`crate::Atlas`] needs besides the tiles themselves,
-/// including the exit legs the open computes from each tile while it is
-/// decoded, so the atlas builds its portal labels without a tile load.
-pub(crate) struct StoreMeta {
-    /// Error parameter ε shared by every tile oracle.
-    pub(crate) eps: f64,
-    /// Number of portals in the routing graph.
-    pub(crate) n_portals: usize,
-    /// Home tile per global site.
-    pub(crate) site_home: Vec<u32>,
-    /// `(tile, local id)` memberships per global site.
-    pub(crate) site_members: Vec<Vec<(u32, u32)>>,
-    /// Per-tile `(portals, portal table)` — retained resident so the
-    /// portal routing graph never needs a tile load.
-    pub(crate) portal_data: Vec<PortalData>,
-    /// Every tile's exit legs (the sites it homes, ascending, times its
-    /// portals), concatenated in tile order: the input of the atlas's
-    /// portal labels, computed during validation.
-    pub(crate) exit_legs: Vec<f64>,
-    /// Sites per tile (shape statistics).
-    pub(crate) tile_sites: Vec<usize>,
-}
+use crate::persist::decode_tile_segment;
 
 /// Residency counters and cache statistics, read via [`TileStore::stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -183,9 +134,9 @@ type Hold = ();
 #[cfg(test)]
 type Hold = Option<Box<tests::Hold>>;
 
-/// Lazily decoding, LRU-evicting tile source for one `SEAT` image. See
-/// the module docs for the open-time validation, concurrency and
-/// determinism contract.
+/// Lazily decoding, LRU-evicting tile source for one validated `SEAT`
+/// image. See the module docs for the concurrency and determinism
+/// contract.
 pub struct TileStore {
     // lint: allow(d3, "the residency cache state; see module docs")
     state: Mutex<StoreState>,
@@ -193,7 +144,7 @@ pub struct TileStore {
     loaded: Condvar,
     /// Absolute `(offset, len)` of each tile segment in the backing file.
     segments: Vec<(u64, usize)>,
-    /// Decoded footprint of each tile (measured at open).
+    /// Decoded footprint of each tile (measured by the open).
     decoded_sizes: Vec<usize>,
     /// Image format version (v1 and v2 segments decode differently).
     version: u32,
@@ -213,71 +164,26 @@ pub struct TileStore {
 }
 
 impl TileStore {
-    /// Opens and fully validates a `SEAT` image for out-of-core serving.
-    ///
-    /// Reads the whole file once: the frame (through `read_framed`), the
-    /// atlas layout, and every tile segment (decoded transiently to
-    /// validate it, measure its resident footprint and compute the exit
-    /// legs of the sites it homes, then dropped).
-    /// Returns the store, which keeps the opened file for its tile reads,
-    /// plus the atlas-level [`StoreMeta`] the caller assembles an
-    /// [`crate::Atlas`] from. `resident_budget` caps the decoded bytes held
-    /// at once.
-    pub(crate) fn open(
-        path: &Path,
+    /// A store over `file`, a `SEAT` image of format `version` whose tile
+    /// `t` is the segment at absolute `segments[t]` = `(offset, len)` and
+    /// decodes to `decoded_sizes[t]` bytes, with `n_portals` portals.
+    /// [`crate::Atlas::open_out_of_core`] validated every segment before it
+    /// builds one. Nothing is resident yet; `resident_budget` caps the
+    /// decoded bytes held at once.
+    pub(crate) fn new(
+        file: File,
+        segments: Vec<(u64, usize)>,
+        decoded_sizes: Vec<usize>,
+        version: u32,
+        n_portals: usize,
         resident_budget: usize,
-    ) -> Result<(TileStore, StoreMeta), PersistError> {
-        let mut file = File::open(path)?;
-        let versions = ATLAS_VERSION..=ATLAS_VERSION_COMPACT;
-        let (version, payload) = read_framed(&mut file, ATLAS_MAGIC, versions, IMAGE_FRAME_CAP)?;
-
-        let layout = parse_seat_layout(&payload, version)?;
-        let n_tiles = layout.segments.len();
-        let homed = homed_locals(&layout.site_home, &layout.site_members, n_tiles)
-            .map_err(PersistError::Corrupt)?;
-        let mut segments = Vec::with_capacity(n_tiles);
-        let mut decoded_sizes = Vec::with_capacity(n_tiles);
-        let mut portal_data = Vec::with_capacity(n_tiles);
-        let mut tile_sites = Vec::with_capacity(n_tiles);
-        let mut legs = Vec::new();
-        for (&(off, seg_len), homed) in layout.segments.iter().zip(&homed) {
-            // One tile at a time: the transient decode peak is a single
-            // tile, not the whole atlas — the point of out-of-core.
-            let tile =
-                decode_tile_segment(&payload[off..off + seg_len], version, layout.n_portals)?;
-            legs.extend(exit_legs(&tile, homed).map_err(PersistError::Corrupt)?);
-            decoded_sizes.push(tile.footprint());
-            tile_sites.push(tile.oracle.n_sites());
-            // Segment spans are payload-relative; the 16-byte frame header
-            // precedes the payload in the file.
-            segments.push((16 + off as u64, seg_len));
-            let AtlasTile { oracle: _, portals, portal_table } = tile;
-            portal_data.push((portals, portal_table));
-        }
-        for members in &layout.site_members {
-            for &(t, l) in members {
-                if t as usize >= n_tiles || l as usize >= tile_sites[t as usize] {
-                    return Err(PersistError::Corrupt("site membership local id out of range"));
-                }
-            }
-        }
-        drop(payload);
-
-        let meta = StoreMeta {
-            eps: layout.eps,
-            n_portals: layout.n_portals,
-            site_home: layout.site_home,
-            site_members: layout.site_members,
-            portal_data,
-            exit_legs: legs,
-            tile_sites,
-        };
+    ) -> TileStore {
         let registry = obs::Registry::new();
-        let store = TileStore {
+        TileStore {
             // lint: allow(d3, "constructing the residency cache; see module docs")
             state: Mutex::new(StoreState {
                 file,
-                slots: vec![Slot::Absent; n_tiles],
+                slots: vec![Slot::Absent; segments.len()],
                 tick: 0,
                 resident_bytes: 0,
                 resident_tiles: 0,
@@ -287,7 +193,7 @@ impl TileStore {
             segments,
             decoded_sizes,
             version,
-            n_portals: meta.n_portals,
+            n_portals,
             budget: resident_budget,
             hits: registry.counter("atlas_tile_hits_total"),
             misses: registry.counter("atlas_tile_misses_total"),
@@ -298,8 +204,7 @@ impl TileStore {
             resident_tiles_g: registry.gauge("atlas_tiles_resident"),
             resident_bytes_g: registry.gauge("atlas_resident_bytes"),
             registry,
-        };
-        Ok((store, meta))
+        }
     }
 
     /// Returns tile `t`, decoding it from the backing file if it is not
@@ -320,7 +225,7 @@ impl TileStore {
     /// served: the floor is one resident tile.
     ///
     /// A segment that no longer reads or decodes (the file was truncated
-    /// or rewritten after `TileStore::open` validated it) is
+    /// or rewritten after the open validated it) is
     /// [`QueryError::TileUnavailable`]: counted, nothing cached, the
     /// resident set untouched.
     pub(crate) fn tile(&self, t: usize) -> Result<Arc<AtlasTile>, QueryError> {
@@ -415,7 +320,7 @@ impl TileStore {
     }
 
     /// Sum of every tile's decoded footprint (what a fully resident load
-    /// would hold), measured during open-time validation.
+    /// would hold), measured by the open's validating pass.
     pub(crate) fn decoded_bytes_total(&self) -> usize {
         self.decoded_sizes.iter().sum()
     }
@@ -478,6 +383,7 @@ impl Drop for Load<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Atlas;
     use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
     use std::thread;
     use std::time::Duration;
@@ -549,13 +455,17 @@ mod tests {
         (events, release)
     }
 
-    /// Writes the fixture to a file of its own and opens it.
-    fn open_fixture(tag: &str, budget: usize) -> (Arc<TileStore>, std::path::PathBuf) {
+    /// Writes the fixture to a file of its own and opens it out of core.
+    fn open_fixture(tag: &str, budget: usize) -> (Arc<Atlas>, std::path::PathBuf) {
         let name = format!("terrain-oracle-tilestore-{tag}-{}.seat", std::process::id());
         let path = std::env::temp_dir().join(name);
         std::fs::write(&path, ATLAS).unwrap();
-        let (store, _) = TileStore::open(&path, budget).unwrap();
-        (Arc::new(store), path)
+        (Arc::new(Atlas::open_out_of_core(&path, budget).unwrap()), path)
+    }
+
+    /// The store behind an atlas the fixture opened.
+    fn store(atlas: &Atlas) -> &TileStore {
+        atlas.tile_store().unwrap()
     }
 
     /// The store's stats once no load is in flight, where every miss has
@@ -568,15 +478,15 @@ mod tests {
 
     type Answer = Result<Arc<AtlasTile>, QueryError>;
 
-    /// Calls `store.tile(t)` on a thread of its own and hands back its
-    /// answer. The thread is detached, so a call that never returns fails
-    /// the test at its `recv_timeout` instead of hanging a join; a call
-    /// that panics disconnects the channel, so its panic still fails the
-    /// receiver (or, for a held load told to unwind, shows that it did).
-    fn call(store: &Arc<TileStore>, t: usize) -> Receiver<Answer> {
+    /// Calls the store's `tile(t)` on a thread of its own and hands back
+    /// its answer. The thread is detached, so a call that never returns
+    /// fails the test at its `recv_timeout` instead of hanging a join; a
+    /// call that panics disconnects the channel, so its panic still fails
+    /// the receiver (or, for a held load told to unwind, shows that it did).
+    fn call(atlas: &Arc<Atlas>, t: usize) -> Receiver<Answer> {
         let (tx, rx) = mpsc::channel();
-        let store = Arc::clone(store);
-        thread::spawn(move || tx.send(store.tile(t)));
+        let atlas = Arc::clone(atlas);
+        thread::spawn(move || tx.send(store(&atlas).tile(t)));
         rx
     }
 
@@ -584,15 +494,15 @@ mod tests {
     /// it, then releases the load as `how` says. Returns the loader's
     /// answer (`Disconnected` if it unwound) and the waiter's.
     fn held_load_and_waiter(
-        store: &Arc<TileStore>,
+        atlas: &Arc<Atlas>,
         how: Release,
     ) -> (Result<Answer, RecvTimeoutError>, Answer) {
-        let (events, release) = hold(store);
-        let loader = call(store, 1);
+        let (events, release) = hold(store(atlas));
+        let loader = call(atlas, 1);
         assert_eq!(events.recv_timeout(WAIT), Ok(Event::Held(1)));
-        let waiter = call(store, 1);
+        let waiter = call(atlas, 1);
         assert_eq!(events.recv_timeout(WAIT), Ok(Event::Waiting(1)));
-        let st = store.stats();
+        let st = store(atlas).stats();
         assert_eq!(st.loads + st.load_failures + 1, st.misses, "one load in flight: {st:?}");
         release.send(how).unwrap();
         let waited = waiter.recv_timeout(WAIT).expect("a settled load must wake its waiter");
@@ -601,64 +511,68 @@ mod tests {
 
     #[test]
     fn a_hit_returns_while_another_tile_decodes() {
-        let (store, path) = open_fixture("hit", usize::MAX);
+        let (atlas, path) = open_fixture("hit", usize::MAX);
+        let store = store(&atlas);
         let warm = store.tile(0).unwrap();
-        let (events, release) = hold(&store);
-        let loader = call(&store, 1);
+        let (events, release) = hold(store);
+        let loader = call(&atlas, 1);
         assert_eq!(events.recv_timeout(WAIT), Ok(Event::Held(1)));
         // A decode under the lock would block this hit until the release:
         // the timeout fails the test instead of hanging it.
-        let hit = call(&store, 0).recv_timeout(WAIT);
+        let hit = call(&atlas, 0).recv_timeout(WAIT);
         let hit = hit.expect("a hit must not wait for another tile's decode");
         assert!(Arc::ptr_eq(&hit.unwrap(), &warm));
         release.send(Release::Decode).unwrap();
         assert!(loader.recv_timeout(WAIT).unwrap().is_ok());
-        let s = settled(&store);
+        let s = settled(store);
         assert_eq!((s.hits, s.misses, s.loads, s.load_waits), (1, 2, 2, 0));
         std::fs::remove_file(path).unwrap();
     }
 
     #[test]
     fn a_second_caller_waits_for_the_held_load_and_shares_its_tile() {
-        let (store, path) = open_fixture("wait", usize::MAX);
-        let (loaded, shared) = held_load_and_waiter(&store, Release::Decode);
+        let (atlas, path) = open_fixture("wait", usize::MAX);
+        let store = store(&atlas);
+        let (loaded, shared) = held_load_and_waiter(&atlas, Release::Decode);
         let (loaded, shared) = (loaded.unwrap().unwrap(), shared.unwrap());
         assert!(Arc::ptr_eq(&loaded, &shared), "the waiter must take the published tile");
-        let s = settled(&store);
+        let s = settled(store);
         assert_eq!((s.misses, s.loads, s.hits, s.load_waits), (1, 1, 1, 1));
         std::fs::remove_file(path).unwrap();
     }
 
     #[test]
     fn a_held_load_that_fails_wakes_its_waiter_to_retry() {
-        let (store, path) = open_fixture("fail", usize::MAX);
+        let (atlas, path) = open_fixture("fail", usize::MAX);
+        let store = store(&atlas);
         // Overwritten in place: the held load reads zeros, which do not
         // decode, and so does the waiter's own retry.
         std::fs::write(&path, vec![0u8; ATLAS.len()]).unwrap();
-        let (loaded, retried) = held_load_and_waiter(&store, Release::Decode);
+        let (loaded, retried) = held_load_and_waiter(&atlas, Release::Decode);
         let unavailable = Some(QueryError::TileUnavailable { tile: 1 });
         assert_eq!(loaded.unwrap().err(), unavailable);
         assert_eq!(retried.err(), unavailable);
-        let s = settled(&store);
+        let s = settled(store);
         assert_eq!((s.misses, s.load_failures, s.hits, s.load_waits), (2, 2, 0, 0));
         assert_eq!(s.resident_tiles, 0, "a failed load caches nothing");
 
         // Once the bytes are back, the tile serves again.
         std::fs::write(&path, ATLAS).unwrap();
         assert!(store.tile(1).is_ok());
-        let s = settled(&store);
+        let s = settled(store);
         assert_eq!((s.misses, s.loads, s.resident_tiles), (3, 1, 1));
         std::fs::remove_file(path).unwrap();
     }
 
     #[test]
     fn a_held_load_that_unwinds_wakes_its_waiter_to_retry() {
-        let (store, path) = open_fixture("unwind", usize::MAX);
-        let (loaded, retried) = held_load_and_waiter(&store, Release::Unwind);
+        let (atlas, path) = open_fixture("unwind", usize::MAX);
+        let store = store(&atlas);
+        let (loaded, retried) = held_load_and_waiter(&atlas, Release::Unwind);
         assert_eq!(loaded.err(), Some(RecvTimeoutError::Disconnected), "the held load must unwind");
         // The waiter found the slot absent and loaded the tile itself.
         let retried = retried.unwrap();
-        let s = settled(&store);
+        let s = settled(store);
         assert_eq!((s.misses, s.load_failures, s.loads, s.hits, s.load_waits), (2, 1, 1, 0, 0));
         assert!(Arc::ptr_eq(&store.tile(1).unwrap(), &retried), "the retried load serves");
         std::fs::remove_file(path).unwrap();
@@ -669,17 +583,18 @@ mod tests {
         // Budget 0 keeps one tile. While tile 0's load is held, tile 1 is
         // loaded, so its stamp passes the tick of tile 0's miss. Tile 0 is
         // published under a fresh tick, so its publish evicts tile 1.
-        let (store, path) = open_fixture("victim", 0);
-        let (events, release) = hold(&store);
-        let loader = call(&store, 0);
+        let (atlas, path) = open_fixture("victim", 0);
+        let store = store(&atlas);
+        let (events, release) = hold(store);
+        let loader = call(&atlas, 0);
         assert_eq!(events.recv_timeout(WAIT), Ok(Event::Held(0)));
-        call(&store, 1).recv_timeout(WAIT).unwrap().unwrap();
+        call(&atlas, 1).recv_timeout(WAIT).unwrap().unwrap();
         release.send(Release::Decode).unwrap();
         let loaded = loader.recv_timeout(WAIT).unwrap().unwrap();
-        let s = settled(&store);
+        let s = settled(store);
         assert_eq!((s.loads, s.evictions, s.resident_tiles), (2, 1, 1));
         assert!(Arc::ptr_eq(&store.tile(0).unwrap(), &loaded), "the tile just loaded stays");
-        assert_eq!(settled(&store).hits, 1);
+        assert_eq!(settled(store).hits, 1);
         std::fs::remove_file(path).unwrap();
     }
 }

@@ -10,8 +10,8 @@
 //! two registries fed identical updates produce identical snapshots —
 //! the property `tests/telemetry.rs` pins down. [`Registry::expose`]
 //! renders the snapshot in a Prometheus-flavoured text format; [`lookup`]
-//! is the matching one-value parser used by `oracle-loadgen`, `bench
-//! snapshot`, and the socket tests.
+//! is the matching one-value parser used by `oracle-loadgen`, perfbench's
+//! `socket` workload, and the socket tests.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -44,7 +44,7 @@
 //! a serving process uses. A strided sweep of flips and truncations must
 //! be rejected there with a typed error under the same allocation bound,
 //! and after a checksum fix-up it must accept exactly the images the
-//! resident loader accepts.
+//! resident loader accepts and fail the others with the same error.
 
 mod common;
 
@@ -293,7 +293,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// real memory). The result itself may be `Ok` or any typed error; an
 /// image that loads must then answer queries (see [`query_every_pair`]).
 /// An out-of-core open must accept exactly the images
-/// `Atlas::load_bytes` accepts.
+/// `Atlas::load_bytes` accepts, and reject the others with the same error.
 fn assert_parse_contained(kind: Kind, bytes: &[u8], what: &str) {
     let bound = 32 * bytes.len() + 65536;
     let (loaded, observed) = load_measured(kind, bytes);
@@ -303,9 +303,10 @@ fn assert_parse_contained(kind: Kind, bytes: &[u8], what: &str) {
         bytes.len()
     );
     if let Kind::OutOfCore = kind {
+        let text = |e: Option<&PersistError>| e.map(ToString::to_string);
         assert_eq!(
-            loaded.is_ok(),
-            Atlas::load_bytes(bytes).is_ok(),
+            text(loaded.as_ref().err()),
+            text(Atlas::load_bytes(bytes).as_ref().err()),
             "{what}: the out-of-core open and the resident load disagree"
         );
     }
