@@ -1730,6 +1730,7 @@ mod tests {
         let t0 = Arc::clone(&tiles[0]);
         let tree = t0.oracle.tree().clone();
         let self_pairs = tree.leaf_of_site.iter().map(|&l| (phash::pair_key(l, l), 0.0)).collect();
+        let self_pairs = phash::PairTable::new(tree.n_nodes(), self_pairs);
         let hollow = SeOracle::from_parts(t0.oracle.epsilon(), tree, self_pairs);
         tiles[0] = Arc::new(AtlasTile {
             oracle: hollow,

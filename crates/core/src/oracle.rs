@@ -418,20 +418,17 @@ impl SeOracle {
     }
 
     /// Reassembles an oracle from a compressed tree and its node-pair
-    /// entries (the inverse of [`Self::tree`] + [`Self::pair_entries`];
-    /// used when deserializing) and fills its layer table. The entries
-    /// fill the pair table directly: in one pass when they arrive in
-    /// ascending key order, as a loaded image's do. Every key must name two
-    /// nodes of `ctree`, at most once.
-    pub(crate) fn from_parts(eps: f64, ctree: CompressedTree, entries: Vec<(u64, f64)>) -> Self {
+    /// table (the inverse of [`Self::tree`] + [`Self::pair_entries`]; used
+    /// when deserializing) and fills its layer table. The table must be
+    /// over the nodes of `ctree`.
+    pub(crate) fn from_parts(eps: f64, ctree: CompressedTree, pairs: PairTable) -> Self {
         let stats = BuildStats {
-            stored_pairs: entries.len(),
+            stored_pairs: pairs.len(),
             compressed_nodes: ctree.n_nodes(),
             height: ctree.h,
             r0: ctree.r0,
             ..Default::default()
         };
-        let pairs = PairTable::new(ctree.n_nodes(), entries);
         let layers = ctree.all_layer_arrays();
         Self { eps, ctree, pairs, layers, stats }
     }
@@ -879,7 +876,7 @@ mod tests {
     fn with_entries(o: &SeOracle, edit: impl FnOnce(&mut Vec<(u64, f64)>)) -> SeOracle {
         let mut entries: Vec<(u64, f64)> = o.pair_entries().collect();
         edit(&mut entries);
-        SeOracle::from_parts(o.eps, o.ctree.clone(), entries)
+        SeOracle::from_parts(o.eps, o.ctree.clone(), PairTable::new(o.ctree.n_nodes(), entries))
     }
 
     fn all_pairs(n: usize) -> Vec<(u32, u32)> {

@@ -5,19 +5,25 @@
 //! write to disk: the compressed partition tree plus the node-pair set.
 //! This module serializes those two components (everything a query needs)
 //! in a flat little-endian format. The pair set is stored as its keys and
-//! values only; a load fills the in-memory [`phash::PairTable`] from them
-//! (in one pass for a v3 image, whose keys arrive in ascending order), so
-//! the on-disk layout is independent of the in-memory index. Nor is the
+//! values only; a load fills the in-memory [`phash::PairTable`] from them,
+//! so the on-disk layout is independent of the in-memory index. A v3
+//! image's keys arrive in ascending order, the table's own, so its load
+//! fills the table's arrays straight from the key stream and takes the
+//! distance table as the table's values, staging nothing. Nor is the
 //! oracle's layer table stored: a load fills it from the tree.
 //!
 //! Both image kinds share one **frame**: a 4-byte magic, an explicit
 //! format-version word, the payload length, the payload, and an FNV-1a
-//! checksum over the payload. `framed` is the one frame writer and
-//! `read_framed` the one frame reader (the wire protocol and the
-//! out-of-core open use them too), so a magic or version mismatch
-//! fails identically (and actionably — the error names the found and the
-//! supported version) everywhere, and future format revisions bump one
-//! constant per kind.
+//! checksum over the payload. `framed` is the one frame writer. Two
+//! readers check it by the same rules, in the same order, with the same
+//! errors: `read_framed` reads a stream into a payload buffer of its own
+//! (every `load_from`, `Atlas::load_bytes`, the out-of-core open and the
+//! wire protocol), and `check_frame` checks an image already in memory in
+//! place and borrows its payload (`SeOracle::load_bytes`, and so every
+//! nested tile image, resident or out of core). So a magic or version
+//! mismatch fails identically (and actionably — the error names the found
+//! and the supported version) everywhere, and future format revisions bump
+//! one constant per kind.
 //!
 //! This build writes only `SEOR` version 3 and `SEAT` version 2 (see
 //! *Compact images* below). The two version-1 layouts that follow, and
@@ -127,7 +133,7 @@ use crate::ctree::{CNode, CompressedTree};
 use crate::oracle::{QueryError, SeOracle};
 use crate::quant::{read_qtable, read_varint, write_qtable, write_varint};
 use crate::tree::NO_NODE;
-use phash::{pair_key, unpair_key};
+use phash::{pair_key, unpair_key, PairTable};
 use std::io::{self, Read, Write};
 use std::ops::RangeInclusive;
 
@@ -272,13 +278,20 @@ pub(crate) fn framed(magic: [u8; 4], version: u32, mut payload: Vec<u8>) -> Vec<
     payload
 }
 
-/// Reads and validates the frame written by [`framed`] — magic,
-/// version-against-`supported`, length-against-`cap`, checksum — returning
-/// the stamped version and the payload for the kind-specific parser.
-/// `supported` is an inclusive version range: image loaders pass
+/// Reads and validates the frame written by [`framed`] from a stream —
+/// magic, version-against-`supported`, length-against-`cap`, checksum —
+/// returning the stamped version and the payload for the kind-specific
+/// parser. `supported` is an inclusive version range: image loaders pass
 /// `1..=VERSION_COMPACT` so every shipped revision stays readable, while
 /// the wire protocol passes a single-version range (peers negotiate, files
 /// don't).
+///
+/// The payload is **copied** into a buffer of its own. Every `load_from`,
+/// `Atlas::load_bytes`, the out-of-core open and the wire protocol read
+/// through here. [`check_frame`] checks the same frame by the same rules
+/// in place and borrows the payload where it lies: `SeOracle::load_bytes`
+/// and so every nested tile image, which the atlas loads decode one
+/// segment at a time.
 ///
 /// The declared length is **untrusted**: it is checked against `cap`
 /// before anything is allocated, and the payload buffer grows with the
@@ -301,22 +314,61 @@ pub(crate) fn read_framed<R: Read>(
     // at most ~2× the bytes that exist.
     let mut payload = Vec::new();
     r.take(len).read_to_end(&mut payload)?;
-    if (payload.len() as u64) < len {
-        return Err(PersistError::Truncated { declared: len, available: payload.len() as u64 });
-    }
+    check_length(len, payload.len())?;
     let mut sum = [0u8; 8];
     r.read_exact(&mut sum)?;
-    if u64::from_le_bytes(sum) != fnv1a(&payload) {
+    check_sum(&payload, sum)?;
+    Ok((version, payload))
+}
+
+/// [`read_framed`] over an image already in memory, checked in place: the
+/// same checks in the same order with the same errors (a short header or
+/// checksum is the `UnexpectedEof` of `read_exact`, which reads the slice
+/// here too), but the payload is borrowed from `bytes`, never copied, and
+/// nothing is allocated. Bytes past the checksum are ignored, as a stream
+/// reader leaves them unread.
+pub(crate) fn check_frame(
+    mut bytes: &[u8],
+    magic: [u8; 4],
+    supported: RangeInclusive<u32>,
+    cap: u64,
+) -> Result<(u32, &[u8]), PersistError> {
+    let mut head = [0u8; 16];
+    bytes.read_exact(&mut head)?;
+    let (version, len) = parse_frame_header(&head, magic, supported, cap)?;
+    // `len ≤ cap` fits a `usize` once it fits the bytes present.
+    check_length(len, bytes.len())?;
+    let (payload, mut rest) = bytes.split_at(len as usize);
+    let mut sum = [0u8; 8];
+    rest.read_exact(&mut sum)?;
+    check_sum(payload, sum)?;
+    Ok((version, payload))
+}
+
+/// A frame declaring `len` payload bytes of which only `available` are
+/// present is [`PersistError::Truncated`].
+fn check_length(len: u64, available: usize) -> Result<(), PersistError> {
+    if (available as u64) < len {
+        return Err(PersistError::Truncated { declared: len, available: available as u64 });
+    }
+    Ok(())
+}
+
+/// A payload whose FNV-1a differs from the frame's trailing `sum` is
+/// `Corrupt("checksum mismatch")`.
+fn check_sum(payload: &[u8], sum: [u8; 8]) -> Result<(), PersistError> {
+    if u64::from_le_bytes(sum) != fnv1a(payload) {
         return Err(PersistError::Corrupt("checksum mismatch"));
     }
-    Ok((version, payload))
+    Ok(())
 }
 
 /// Validates the 16-byte frame header (magic, version against the
 /// `supported` range, declared length against `cap`) and returns the
 /// stamped version plus the declared payload length. Shared by
-/// [`read_framed`] and the network protocol's incremental frame reader, so
-/// the wire format and the image format enforce one hardened contract.
+/// [`read_framed`], [`check_frame`] and the network protocol's incremental
+/// frame reader, so the wire format and the image format enforce one
+/// hardened contract.
 pub(crate) fn parse_frame_header(
     head: &[u8; 16],
     magic: [u8; 4],
@@ -463,10 +515,23 @@ impl SeOracle {
     pub fn load_from<R: Read>(r: &mut R) -> Result<Self, PersistError> {
         let (version, payload) =
             read_framed(r, MAGIC, ORACLE_VERSION..=ORACLE_VERSION_COMPACT, IMAGE_FRAME_CAP)?;
+        Self::parse_payload(version, &payload)
+    }
+
+    /// [`Self::load_from`] over an in-memory image, with the frame checked
+    /// in place: the payload is parsed where it lies, not copied first.
+    /// Every atlas tile decode loads its nested image through here.
+    pub fn load_bytes(bytes: &[u8]) -> Result<Self, PersistError> {
+        let (version, payload) =
+            check_frame(bytes, MAGIC, ORACLE_VERSION..=ORACLE_VERSION_COMPACT, IMAGE_FRAME_CAP)?;
+        Self::parse_payload(version, payload)
+    }
+
+    fn parse_payload(version: u32, payload: &[u8]) -> Result<Self, PersistError> {
         if version == ORACLE_VERSION {
-            Self::parse_payload_v1(&payload)
+            Self::parse_payload_v1(payload)
         } else {
-            Self::parse_payload_compact(&payload, version == ORACLE_VERSION_COMPACT)
+            Self::parse_payload_compact(payload, version == ORACLE_VERSION_COMPACT)
         }
     }
 
@@ -523,18 +588,25 @@ impl SeOracle {
         }
 
         assemble_oracle(
-            OracleParts { eps, r0, h, root, nodes, leaf_of_site, entries, ordered_keys: true },
+            OracleParts { eps, r0, h, root, nodes, leaf_of_site, pairs: Pairs::Ordered(entries) },
             payload.len(),
         )
     }
 
-    /// Parses the v2 or v3 payload (see the module docs). Varint-decoded
-    /// indices are range-checked as they stream in; the two qtables carry
-    /// their own mode/scale validation; pair keys arrive as ascending
-    /// deltas, so distinctness is established during decoding (a zero
-    /// delta is the corrupt-duplicate case) instead of by a sort afterwards.
+    /// Parses the v2 or v3 payload (see the module docs) in one pass:
+    /// each node's fields stream straight into its `CNode`, and
+    /// varint-decoded indices are range-checked as they arrive; the two
+    /// qtables carry their own mode/scale validation; pair keys arrive as
+    /// ascending deltas, so distinctness is established during decoding (a
+    /// zero delta is the corrupt-duplicate case) instead of by a sort
+    /// afterwards.
+    ///
     /// A `canonical` (v3) payload must key every pair as `(a, b)` with
-    /// `a ≤ b`; a v2 payload's ordered keys are canonicalised afterwards.
+    /// `a ≤ b`. Its ascending keys are the pair table's own order, so they
+    /// fill the table's row counts and partner ids as they stream in, and
+    /// the distance qtable becomes the table's value array: nothing is
+    /// staged. A v2 payload's ordered keys are zipped with their distances
+    /// and canonicalised afterwards.
     fn parse_payload_compact(payload: &[u8], canonical: bool) -> Result<Self, PersistError> {
         let mut c = Cursor { buf: payload, at: 0 };
         let (eps, r0, h, root) = read_oracle_head(&mut c)?;
@@ -544,41 +616,38 @@ impl SeOracle {
         if n_nodes > c.remaining() / 4 {
             return Err(PersistError::Corrupt("implausible node count"));
         }
-        let mut centers = Vec::with_capacity(n_nodes);
+        let mut nodes = Vec::with_capacity(n_nodes);
         for _ in 0..n_nodes {
             let v = read_varint(&mut c)?;
             if v > u32::MAX as u64 {
                 return Err(PersistError::Corrupt("node center out of range"));
             }
-            centers.push(v as u32);
+            nodes.push(CNode {
+                center: v as u32,
+                layer: 0,
+                parent: NO_NODE,
+                children: Vec::new(),
+                radius: 0.0,
+            });
         }
-        let mut layers = Vec::with_capacity(n_nodes);
-        for _ in 0..n_nodes {
+        for node in &mut nodes {
             let v = read_varint(&mut c)?;
             if v > h as u64 {
                 return Err(PersistError::Corrupt("node layer exceeds tree height"));
             }
-            layers.push(v as u32);
+            node.layer = v as u32;
         }
-        let mut parents = Vec::with_capacity(n_nodes);
-        for _ in 0..n_nodes {
+        for node in &mut nodes {
             let v = read_varint(&mut c)?;
             // NO_NODE (u32::MAX) is the root's valid sentinel.
             if v > u32::MAX as u64 {
                 return Err(PersistError::Corrupt("node parent out of range"));
             }
-            parents.push(v as u32);
+            node.parent = v as u32;
         }
-        let radii = read_qtable(&mut c, n_nodes)?;
-        let nodes: Vec<CNode> = (0..n_nodes)
-            .map(|i| CNode {
-                center: centers[i],
-                layer: layers[i],
-                parent: parents[i],
-                children: Vec::new(),
-                radius: radii[i],
-            })
-            .collect();
+        for (node, radius) in nodes.iter_mut().zip(read_qtable(&mut c, n_nodes)?) {
+            node.radius = radius;
+        }
         let n_sites = c.u32()? as usize;
         if n_sites > c.remaining() {
             return Err(PersistError::Corrupt("implausible site count"));
@@ -597,53 +666,74 @@ impl SeOracle {
         if n_pairs > c.remaining() / 2 {
             return Err(PersistError::Corrupt("implausible pair count"));
         }
-        let mut keys = Vec::with_capacity(n_pairs);
-        let mut prev = 0u64;
-        for i in 0..n_pairs {
-            let d = read_varint(&mut c)?;
-            let k = if i == 0 {
-                d
-            } else {
-                if d == 0 {
-                    return Err(PersistError::Corrupt("duplicate node-pair key"));
-                }
-                prev.checked_add(d).ok_or(PersistError::Corrupt("pair key overflow"))?
-            };
-            if canonical {
+        let pairs = if canonical {
+            // Row `a`'s count goes to `first[a + 1]`, the prefix sums below
+            // make them offsets. A key naming a missing node stops the fill;
+            // the assembly reports it after the tree checks, in the order
+            // every version's load reports faults.
+            let mut first = vec![0u32; n_nodes + 1];
+            let mut partner = Vec::with_capacity(n_pairs);
+            let mut in_range = true;
+            read_key_deltas(&mut c, n_pairs, |k| {
                 let (a, b) = unpair_key(k);
                 if a > b {
                     return Err(PersistError::Corrupt("node-pair key not canonical"));
                 }
-            }
-            keys.push(k);
-            prev = k;
-        }
-        let dists = read_qtable(&mut c, n_pairs)?;
+                in_range &= (b as usize) < n_nodes;
+                if in_range {
+                    first[a as usize + 1] += 1;
+                    partner.push(b);
+                }
+                Ok(())
+            })?;
+            let dist = read_qtable(&mut c, n_pairs)?;
+            Pairs::Table(in_range.then(|| {
+                for row in 1..first.len() {
+                    first[row] += first[row - 1];
+                }
+                PairTable::from_rows(first, partner, dist)
+            }))
+        } else {
+            let mut keys = Vec::with_capacity(n_pairs);
+            read_key_deltas(&mut c, n_pairs, |k| {
+                keys.push(k);
+                Ok(())
+            })?;
+            let dists = read_qtable(&mut c, n_pairs)?;
+            Pairs::Ordered(keys.into_iter().zip(dists).collect())
+        };
         if c.at != payload.len() {
             return Err(PersistError::Corrupt("trailing bytes in payload"));
         }
-        let entries: Vec<(u64, f64)> = keys.into_iter().zip(dists).collect();
 
-        assemble_oracle(
-            OracleParts {
-                eps,
-                r0,
-                h,
-                root,
-                nodes,
-                leaf_of_site,
-                entries,
-                ordered_keys: !canonical,
-            },
-            payload.len(),
-        )
+        assemble_oracle(OracleParts { eps, r0, h, root, nodes, leaf_of_site, pairs }, payload.len())
     }
+}
 
-    /// Deserializes from an in-memory buffer.
-    pub fn load_bytes(bytes: &[u8]) -> Result<Self, PersistError> {
-        let mut r = bytes;
-        Self::load_from(&mut r)
+/// Decodes `n` pair keys stored as ascending deltas (the first one
+/// absolute) and hands each key, in order, to `each`. A zero delta after
+/// the first key is a duplicate key, and a key past `u64::MAX` overflows;
+/// both are corrupt.
+fn read_key_deltas(
+    c: &mut Cursor<'_>,
+    n: usize,
+    mut each: impl FnMut(u64) -> Result<(), PersistError>,
+) -> Result<(), PersistError> {
+    let mut prev = 0u64;
+    for i in 0..n {
+        let d = read_varint(c)?;
+        let k = if i == 0 {
+            d
+        } else {
+            if d == 0 {
+                return Err(PersistError::Corrupt("duplicate node-pair key"));
+            }
+            prev.checked_add(d).ok_or(PersistError::Corrupt("pair key overflow"))?
+        };
+        each(k)?;
+        prev = k;
     }
+    Ok(())
 }
 
 /// Reads the head every `SEOR` payload opens with: ε, the root radius
@@ -666,7 +756,7 @@ fn read_oracle_head(c: &mut Cursor<'_>) -> Result<(f64, f64, u32, u32), PersistE
 }
 
 /// The decoded-but-unvalidated pieces of an oracle image, shared by the v1
-/// and v2 parsers so both formats pass one structural gauntlet.
+/// and compact parsers so every version passes one structural gauntlet.
 struct OracleParts {
     eps: f64,
     r0: f64,
@@ -674,12 +764,17 @@ struct OracleParts {
     root: u32,
     nodes: Vec<CNode>,
     leaf_of_site: Vec<u32>,
-    entries: Vec<(u64, f64)>,
+    pairs: Pairs,
+}
+
+/// An image's node pairs, as its version stores them.
+enum Pairs {
     /// v1 and v2 images key pairs in order, each stored with its mirror, so
-    /// their entries are canonicalised ([`canonicalise_ordered`]). A v3
-    /// payload's keys were already checked canonical and strictly
-    /// ascending while decoding.
-    ordered_keys: bool,
+    /// their entries are canonicalised ([`canonicalise_ordered`]).
+    Ordered(Vec<(u64, f64)>),
+    /// A v3 payload's table, filled while decoding its canonical, strictly
+    /// ascending keys; `None` when a key names a missing node.
+    Table(Option<PairTable>),
 }
 
 /// Rebuilds children lists, validates every tree invariant (root, parent
@@ -688,8 +783,7 @@ struct OracleParts {
 /// `payload_len` bytes the parts came from, constructs the oracle, and
 /// checks that it stores every leaf self pair.
 fn assemble_oracle(parts: OracleParts, payload_len: usize) -> Result<SeOracle, PersistError> {
-    let OracleParts { eps, r0, h, root, mut nodes, leaf_of_site, mut entries, ordered_keys } =
-        parts;
+    let OracleParts { eps, r0, h, root, mut nodes, leaf_of_site, pairs } = parts;
     // The oracle keeps `n_sites × (h + 1)` `u32` layer-array entries. Each
     // count is bounded alone, but their product can still amplify a small
     // payload, as a tall tree over many sites does.
@@ -701,8 +795,8 @@ fn assemble_oracle(parts: OracleParts, payload_len: usize) -> Result<SeOracle, P
     if root as usize >= n_nodes {
         return Err(PersistError::Corrupt("root out of range"));
     }
-    let parents: Vec<u32> = nodes.iter().map(|n| n.parent).collect();
-    for (id, &p) in parents.iter().enumerate() {
+    for id in 0..n_nodes {
+        let p = nodes[id].parent;
         if id as u32 == root {
             if p != NO_NODE {
                 return Err(PersistError::Corrupt("root has a parent"));
@@ -725,21 +819,28 @@ fn assemble_oracle(parts: OracleParts, payload_len: usize) -> Result<SeOracle, P
             return Err(PersistError::Corrupt("leaf_of_site mapping broken"));
         }
     }
-    // Before the pair table is built: its rows are indexed by node id, and
-    // a key past them is a construction-time panic.
-    let names_missing_node = |k: u64| {
-        let (a, b) = unpair_key(k);
-        a.max(b) as usize >= n_nodes
+    // Every version reports a key naming a missing node here, after the
+    // tree checks. A v3 table was filled only if every key named a node;
+    // ordered entries are checked before their table is built, as its rows
+    // are indexed by node id and a key past them is a construction panic.
+    let missing_node = PersistError::Corrupt("node-pair key names a missing node");
+    let pairs = match pairs {
+        Pairs::Ordered(mut entries) => {
+            let names_missing_node = |&(k, _): &(u64, f64)| {
+                let (a, b) = unpair_key(k);
+                a.max(b) as usize >= n_nodes
+            };
+            if entries.iter().any(names_missing_node) {
+                return Err(missing_node);
+            }
+            canonicalise_ordered(&mut entries)?;
+            PairTable::new(n_nodes, entries)
+        }
+        Pairs::Table(table) => table.ok_or(missing_node)?,
     };
-    if entries.iter().any(|&(k, _)| names_missing_node(k)) {
-        return Err(PersistError::Corrupt("node-pair key names a missing node"));
-    }
-    if ordered_keys {
-        canonicalise_ordered(&mut entries)?;
-    }
 
     let ctree = CompressedTree { nodes, root, r0, h, leaf_of_site };
-    let oracle = SeOracle::from_parts(eps, ctree, entries);
+    let oracle = SeOracle::from_parts(eps, ctree, pairs);
     if !oracle.stores_leaf_self_pairs() {
         return Err(PersistError::Corrupt("leaf self pair missing"));
     }
@@ -1218,6 +1319,33 @@ mod tests {
         assert!(SeOracle::load_bytes(&[]).is_err());
     }
 
+    #[test]
+    fn a_frame_checked_in_place_reads_as_a_streamed_one() {
+        // Every truncation, every single-byte flip and trailing bytes: the
+        // in-place check returns the streamed read's version and payload,
+        // or its error, variant and text alike (a short header or checksum
+        // is `read_exact`'s own `UnexpectedEof`).
+        let image = oracle(10, 63, 0.25).save_bytes_compact(true);
+        let mut cases: Vec<Vec<u8>> = (0..image.len()).map(|cut| image[..cut].to_vec()).collect();
+        for at in 0..image.len() {
+            let mut flipped = image.clone();
+            flipped[at] ^= 0x80;
+            cases.push(flipped);
+        }
+        cases.push([&image[..], b"tail"].concat());
+        cases.push(image);
+        let versions = || ORACLE_VERSION..=ORACLE_VERSION_COMPACT;
+        for bytes in &cases {
+            let streamed = read_framed(&mut &bytes[..], MAGIC, versions(), IMAGE_FRAME_CAP);
+            let in_place = check_frame(bytes, MAGIC, versions(), IMAGE_FRAME_CAP);
+            match (streamed, in_place) {
+                (Ok((v, payload)), Ok(checked)) => assert_eq!((v, &payload[..]), checked),
+                (Err(a), Err(b)) => assert_eq!(format!("{a:?} {a}"), format!("{b:?} {b}")),
+                (a, b) => panic!("{} bytes: streamed {a:?}, in place {b:?}", bytes.len()),
+            }
+        }
+    }
+
     // ------------------------------------------------------------------
     // Atlas (`SEAT`) images
     // ------------------------------------------------------------------
@@ -1504,7 +1632,8 @@ mod tests {
         let at = entries.iter().position(|&(k, _)| unpair_key(k).0 != unpair_key(k).1).unwrap();
         let (a, b) = unpair_key(entries[at].0);
         entries[at].0 = ordered_key(b, a);
-        let hostile = SeOracle::from_parts(o.epsilon(), o.tree().clone(), entries);
+        let table = PairTable::new(o.tree().n_nodes(), entries);
+        let hostile = SeOracle::from_parts(o.epsilon(), o.tree().clone(), table);
         let bytes = hostile.save_bytes_compact(false);
         assert_eq!(version_word(&bytes), ORACLE_VERSION_COMPACT);
         assert!(matches!(
@@ -1609,7 +1738,8 @@ mod tests {
         let leaf = o.tree().leaf_of_site[3];
         let one_short = o.pair_entries().filter(|&(k, _)| k != pair_key(leaf, leaf)).collect();
         for entries in [vec![], one_short] {
-            let hostile = SeOracle::from_parts(o.epsilon(), o.tree().clone(), entries);
+            let table = PairTable::new(o.tree().n_nodes(), entries);
+            let hostile = SeOracle::from_parts(o.epsilon(), o.tree().clone(), table);
             assert!(matches!(
                 SeOracle::load_bytes(&hostile.save_bytes_compact(false)),
                 Err(PersistError::Corrupt("leaf self pair missing"))

@@ -37,7 +37,6 @@
 // lint: query-path
 use crate::ctree::CompressedTree;
 use crate::oracle::SeOracle;
-use crate::tree::NO_NODE;
 use geodesic::heap::MinHeap;
 
 /// One proximity-query result.
@@ -360,16 +359,6 @@ impl SeOracle {
         out.sort_by(|a, b| a.via().total_cmp(&b.via()).then(a.site.cmp(&b.site)));
         out
     }
-}
-
-/// The layer array of a site, exposed for diagnostics: which compressed
-/// tree nodes lie on its root path at each layer (`NO_NODE` where the
-/// path skips a layer). A copy of the row of the oracle's layer table
-/// that its queries read.
-pub fn root_path_layers(oracle: &SeOracle, site: usize) -> Vec<u32> {
-    let a = oracle.layer_row(site).to_vec();
-    debug_assert!(a.iter().any(|&x| x != NO_NODE));
-    a
 }
 
 #[cfg(test)]

@@ -29,7 +29,11 @@
 //!
 //! Memory: the resident set stays within the budget (floor: one tile),
 //! and beyond it each concurrent caller holds at most the three tiles its
-//! batch pins plus one tile it is decoding.
+//! batch pins plus the transient of one miss. That transient is the
+//! segment buffer the miss reads plus the tile being built from it, and
+//! nothing more: the nested oracle image is checked and parsed in place in
+//! the segment buffer, and its pair table is filled straight from the key
+//! stream, with no staged copy of either.
 //!
 //! # Determinism
 //!

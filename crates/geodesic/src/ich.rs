@@ -153,11 +153,6 @@ impl IchEngine {
     pub fn new(mesh: Arc<TerrainMesh>) -> Self {
         Self { mesh, max_windows: 200_000_000, scratch: Mutex::default() }
     }
-
-    /// Overrides the window cap (mainly for tests).
-    pub fn with_max_windows(mesh: Arc<TerrainMesh>, max_windows: usize) -> Self {
-        Self { mesh, max_windows, scratch: Mutex::default() }
-    }
 }
 
 impl GeodesicEngine for IchEngine {

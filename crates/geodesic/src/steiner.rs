@@ -128,15 +128,6 @@ impl SteinerGraph {
         Self { mesh, m, positions, adj_off: off, adj_dat: dat }
     }
 
-    /// Chooses `m` from an error parameter following the baselines' sizing
-    /// `m = Θ(1/√ε · log(1/ε))` (\[12\] §4.2.1 of the paper), capped to keep
-    /// construction tractable; the cap is reported by
-    /// [`SteinerGraph::points_per_edge`].
-    pub fn for_epsilon(mesh: Arc<TerrainMesh>, eps: f64) -> Self {
-        let m = points_per_edge_for_epsilon(eps);
-        Self::with_points_per_edge(mesh, m)
-    }
-
     /// Number of Steiner points on each edge.
     pub fn points_per_edge(&self) -> usize {
         self.m

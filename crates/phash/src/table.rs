@@ -26,8 +26,8 @@ pub struct PairTable {
 
 impl PairTable {
     /// Builds the table over node ids `0..n_nodes` from `(key, value)`
-    /// entries in any order. Ascending entries, which a loaded image
-    /// supplies, are filled in one pass.
+    /// entries in any order: it sorts them and lays them out as
+    /// [`Self::from_rows`] takes them.
     ///
     /// # Panics
     /// Panics if two entries share a key or a key names a node outside
@@ -39,8 +39,7 @@ impl PairTable {
         let mut first = vec![0u32; n_nodes + 1];
         let mut partner = Vec::with_capacity(entries.len());
         let mut dist = Vec::with_capacity(entries.len());
-        for (i, &(k, d)) in entries.iter().enumerate() {
-            assert!(i == 0 || entries[i - 1].0 != k, "duplicate key {k:#x} in PairTable");
+        for (k, d) in entries {
             let (a, b) = unpair_key(k);
             assert!((a.max(b) as usize) < n_nodes, "key {k:#x} names a node outside 0..{n_nodes}");
             first[a as usize + 1] += 1;
@@ -49,6 +48,38 @@ impl PairTable {
         }
         for row in 1..first.len() {
             first[row] += first[row - 1];
+        }
+        Self::from_rows(first, partner, dist)
+    }
+
+    /// Builds the table from its own three arrays, so a source whose keys
+    /// arrive in ascending order (a loaded image) fills them in one pass
+    /// with no `(key, value)` staging: `first`, the `n_nodes + 1` row
+    /// offsets into `partner` and `dist`, starting at 0; `partner`, each
+    /// row's partner ids, strictly ascending within the row; `dist`, the
+    /// value of each entry, aligned with `partner`.
+    ///
+    /// # Panics
+    /// Panics where [`Self::new`] does: a duplicate key (a partner not
+    /// above the one before it in its row) or a key naming a node outside
+    /// `0..n_nodes`. Also if the arrays do not fit together: offsets that
+    /// do not rise from 0 to `partner.len()`, or `dist` of another length.
+    pub fn from_rows(first: Vec<u32>, partner: Vec<u32>, dist: Vec<f64>) -> Self {
+        assert!(u32::try_from(partner.len()).is_ok(), "more pairs than u32 offsets can index");
+        assert_eq!(partner.len(), dist.len(), "one value per partner");
+        let ends = (first.first().copied(), first.last().map(|&e| e as usize));
+        assert_eq!(ends, (Some(0), Some(partner.len())), "row offsets must span the partners");
+        let n_nodes = first.len() - 1;
+        for (row, w) in first.windows(2).enumerate() {
+            assert!(w[0] <= w[1], "row offsets must not fall");
+            let mut prev = None;
+            for &b in &partner[w[0] as usize..w[1] as usize] {
+                let k = ((row as u64) << 32) | u64::from(b);
+                assert!(prev != Some(b), "duplicate key {k:#x} in PairTable");
+                assert!(prev < Some(b), "key {k:#x} out of order in PairTable");
+                assert!((b as usize) < n_nodes, "key {k:#x} names a node outside 0..{n_nodes}");
+                prev = Some(b);
+            }
         }
         Self { first, partner, dist }
     }
@@ -163,6 +194,28 @@ mod tests {
         let mut sorted = entries;
         sorted.sort_by_key(|&(k, _)| k);
         assert_eq!(table.iter().collect::<Vec<_>>(), sorted);
+    }
+
+    #[test]
+    fn from_rows_takes_the_arrays_new_lays_out() {
+        let entries = vec![(pair_key(0, 4), 1.0), (pair_key(2, 3), 2.0), (pair_key(0, 1), 3.0)];
+        let table = PairTable::new(5, entries);
+        let PairTable { first, partner, dist } = table.clone();
+        assert_eq!((&first[..], &partner[..]), (&[0, 2, 2, 3, 3, 3][..], &[1, 4, 3][..]));
+        let rebuilt = PairTable::from_rows(first, partner, dist);
+        assert_eq!(rebuilt.iter().collect::<Vec<_>>(), table.iter().collect::<Vec<_>>());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of order")]
+    fn from_rows_panics_on_a_descending_row() {
+        let _ = PairTable::from_rows(vec![0, 2, 2], vec![1, 0], vec![0.0, 1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "names a node outside")]
+    fn from_rows_panics_on_a_partner_outside() {
+        let _ = PairTable::from_rows(vec![0, 1], vec![1], vec![0.0]);
     }
 
     #[test]

@@ -48,11 +48,6 @@ impl Vec3 {
         (self - o).norm()
     }
 
-    #[inline]
-    pub fn dist_sq(self, o: Vec3) -> f64 {
-        (self - o).norm_sq()
-    }
-
     /// Unit vector in the same direction; `None` for (near-)zero vectors.
     pub fn normalized(self) -> Option<Vec3> {
         let n = self.norm();

@@ -414,11 +414,6 @@ impl TerrainMesh {
         }
     }
 
-    /// Consumes the mesh, returning the raw vertex and face arrays.
-    pub fn into_raw(self) -> (Vec<Vec3>, Vec<[VertexId; 3]>) {
-        (self.vertices, self.faces)
-    }
-
     /// Heap bytes used by the mesh.
     pub fn storage_bytes(&self) -> usize {
         use std::mem::size_of;

@@ -3,11 +3,15 @@
 //! earlier layer exercised — built as a 2×2 atlas of per-tile oracles and
 //! cross-validated against a monolithic oracle over the same sites.
 //!
-//! The example demonstrates the three claims the atlas subsystem makes:
+//! The example walks through the three claims the atlas subsystem makes.
+//! It asserts claims 2 and 3 and reports claim 1:
 //!
 //! 1. **Construction scales**: four quarter-size tile builds (run through
-//!    the shared worker pool) finish faster than one whole-mesh build at
-//!    `threads = auto`, because per-SSAD cost grows with mesh size.
+//!    the shared worker pool) tend to finish faster than one whole-mesh
+//!    build at `threads = auto`, because per-SSAD cost grows with mesh
+//!    size. The example prints both best-of-5 build times and their ratio without
+//!    asserting on them: on a small or shared runner, wall-clock noise can
+//!    reverse a margin of a few percent.
 //! 2. **Answers stay honest**: every cross-tile answer is within the
 //!    documented routing bound of the monolithic oracle's, and never
 //!    below the `(1 − ε)` geodesic floor.
@@ -45,9 +49,7 @@ fn main() {
     // 1. Build both ways at threads = auto (the edge-graph engine keeps
     //    the demo CI-friendly; the relative build-time story is the same
     //    for the exact engine, only more pronounced). Each build runs
-    //    five times and keeps its best: the min converges on the true cost
-    //    even on a noisy runner, so a scheduler stall would have to hit
-    //    every atlas rep and no monolithic rep to flip the ~25% margin.
+    //    five times and keeps its best, which damps scheduler noise.
     const BUILD_REPS: usize = 5;
     let mut t_mono = std::time::Duration::MAX;
     let mut mono = None;
@@ -82,17 +84,14 @@ fn main() {
     println!(
         "monolithic build: {t_mono:.2?} ({} pairs); atlas build: {t_atlas:.2?} \
          (best of {BUILD_REPS} each; {} tiles of {:?} sites, {} portals, {} graph edges, \
-         {} workers)",
+         {} workers); atlas/monolithic build time {:.2}",
         mono.n_pairs(),
         s.n_tiles,
         s.tile_sites,
         s.n_portals,
         s.portal_edges,
         s.workers,
-    );
-    assert!(
-        t_atlas < t_mono,
-        "atlas build ({t_atlas:.2?}) must beat the monolithic build ({t_mono:.2?})"
+        t_atlas.as_secs_f64() / t_mono.as_secs_f64(),
     );
 
     // 2. Cross-validate every pair. The monolithic oracle obeys

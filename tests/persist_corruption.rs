@@ -8,7 +8,9 @@
 //! records the largest single allocation requested on the loading thread,
 //! which is exactly the regression the hardened decoder fixed — a corrupt
 //! length field used to drive `vec![0u8; len]` before any byte of the
-//! declared payload was checked against reality.
+//! declared payload was checked against reality. The same allocator keeps
+//! a per-thread high-water mark of live bytes, which bounds what a v3 load
+//! holds at its peak against what it keeps.
 //!
 //! Level-4 images are covered exhaustively (every offset × several flip
 //! masks; every truncation point). Level-5 images are larger, so they get
@@ -33,9 +35,10 @@
 //!
 //! The v1 and v2 images are checked-in fixtures (`tests/fixtures/v1/`,
 //! `tests/fixtures/v2/`), written by the encoders of earlier builds: this
-//! build reads them but writes only `SEOR` v3 and `SEAT` v2 with v3 tiles.
-//! Each fixture is checked to carry its version word before use, and one
-//! test per version pins that each decodes to what its constructor builds.
+//! build reads them but writes only `SEOR` v3 and `SEAT` v2 with v3 tiles,
+//! which `tests/fixtures/v3/` pins. Each fixture is checked to carry its
+//! version word before use, and one test per version pins that each
+//! decodes to what its constructor builds.
 //! Both legacy versions store every node pair twice, once per orientation,
 //! so these tests also pin the loader's canonicalisation.
 //!
@@ -61,38 +64,50 @@ use terrain_oracle::prelude::*;
 use terrain_oracle::terrain::tile::TileGridConfig;
 
 // ---------------------------------------------------------------------------
-// Per-thread peak-allocation tracking.
+// Per-thread allocation tracking: the largest single allocation, and the
+// high-water mark of live bytes.
 //
 // Integration tests run on many threads at once, so a process-global
 // high-water mark would blame this suite for a neighbour's allocations;
-// tracking per thread keeps every measurement honest. `try_with` guards
-// the TLS-teardown window.
+// tracking per thread keeps every measurement honest. Live bytes are the
+// bytes this thread allocated less those it freed, so they read true for
+// work that allocates and frees on one thread, as a load does. `try_with`
+// guards the TLS-teardown window.
 // ---------------------------------------------------------------------------
 
 thread_local! {
     static PEAK_ALLOC: Cell<usize> = const { Cell::new(0) };
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    static PEAK_LIVE: Cell<isize> = const { Cell::new(0) };
 }
 
 struct PeakTracking;
 
-fn note(size: usize) {
+/// Records an allocation of `size` bytes that changes this thread's live
+/// bytes by `grown`.
+fn note(size: usize, grown: isize) {
     let _ = PEAK_ALLOC.try_with(|c| c.set(c.get().max(size)));
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + grown);
+        let _ = PEAK_LIVE.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
 }
 
 unsafe impl GlobalAlloc for PeakTracking {
     unsafe fn alloc(&self, l: Layout) -> *mut u8 {
-        note(l.size());
+        note(l.size(), l.size() as isize);
         System.alloc(l)
     }
     unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
-        note(l.size());
+        note(l.size(), l.size() as isize);
         System.alloc_zeroed(l)
     }
     unsafe fn realloc(&self, p: *mut u8, l: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
+        note(new_size, new_size as isize - l.size() as isize);
         System.realloc(p, l, new_size)
     }
     unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
+        let _ = LIVE.try_with(|live| live.set(live.get() - l.size() as isize));
         System.dealloc(p, l)
     }
 }
@@ -106,6 +121,19 @@ fn reset_peak() {
 
 fn peak() -> usize {
     PEAK_ALLOC.try_with(|c| c.get()).unwrap_or(0)
+}
+
+/// This thread's live bytes now, after restarting the live high-water mark
+/// from here.
+fn reset_live_peak() -> isize {
+    let live = LIVE.try_with(Cell::get).unwrap_or(0);
+    let _ = PEAK_LIVE.try_with(|c| c.set(live));
+    live
+}
+
+/// This thread's live-byte high-water mark since [`reset_live_peak`].
+fn live_peak() -> isize {
+    PEAK_LIVE.try_with(Cell::get).unwrap_or(0)
 }
 
 // ---------------------------------------------------------------------------
@@ -153,6 +181,21 @@ fn seor_level5_fixture_v2_compressed() -> &'static [u8] {
 /// `build_atlas(4, 409, 24)` as a raw `SEAT` v2 image with v2 tiles.
 fn seat_level4_fixture_v2() -> &'static [u8] {
     fixture(include_bytes!("fixtures/v2/atlas-l4.seat"), 2)
+}
+
+/// [`oracle_level5`] as a raw `SEOR` v3 image.
+fn seor_level5_fixture_v3() -> &'static [u8] {
+    fixture(include_bytes!("fixtures/v3/oracle-l5.seor"), 3)
+}
+
+/// [`oracle_level5`] as a compressed `SEOR` v3 image.
+fn seor_level5_fixture_v3_compressed() -> &'static [u8] {
+    fixture(include_bytes!("fixtures/v3/oracle-l5-c.seor"), 3)
+}
+
+/// `build_atlas(4, 409, 24)` as a raw `SEAT` v2 image with v3 tiles.
+fn seat_level4_fixture_v3() -> &'static [u8] {
+    fixture(include_bytes!("fixtures/v3/atlas-l4.seat"), 2)
 }
 
 /// A P2P oracle over `mesh_with_pois(5, 0.6, 102, 24)`, ε 0.25, edge
@@ -495,6 +538,39 @@ fn v2_fixtures_decode_to_their_constructors() {
     }
 }
 
+#[test]
+fn v3_fixtures_are_what_their_constructors_write() {
+    // The v3 fixtures are current images: each is byte-identical to its
+    // constructor's image today, and a load of it re-encodes to the same
+    // bytes, so the one-pass v3 decode loses and reorders nothing.
+    let built = oracle_level5();
+    let oracles = [
+        ("oracle-l5", seor_level5_fixture_v3(), false),
+        ("oracle-l5-c", seor_level5_fixture_v3_compressed(), true),
+    ];
+    for (name, fixture, compress) in oracles {
+        assert!(
+            built.save_bytes_compact(compress) == fixture,
+            "{name}: not the constructor's image"
+        );
+        let loaded = SeOracle::load_bytes(fixture).unwrap();
+        assert!(loaded.save_bytes_compact(compress) == fixture, "{name}: re-encode differs");
+        assert_eq!(loaded.storage_bytes(), built.storage_bytes(), "{name}: storage");
+    }
+    let built = build_atlas(4, 409, 24);
+    let fixture = seat_level4_fixture_v3();
+    assert!(built.save_bytes_compact(false) == fixture, "atlas-l4: not the constructor's image");
+    let loaded = Atlas::load_bytes(fixture).unwrap();
+    assert!(loaded.save_bytes_compact(false) == fixture, "atlas-l4: re-encode differs");
+    assert_eq!(loaded.storage_bytes(), built.storage_bytes(), "atlas-l4: storage");
+    for s in 0..built.n_sites() {
+        for t in 0..built.n_sites() {
+            let (got, want) = (loaded.distance(s, t), built.distance(s, t));
+            assert_eq!(got.to_bits(), want.to_bits(), "atlas-l4: d({s},{t})");
+        }
+    }
+}
+
 /// FNV-1a over the little-endian bytes of every ordered pair's answer,
 /// row by row (`s` ascending, one `distance_many_checked_with_stats` of
 /// `(s, 0..n)` per row), and the rows' summed probe count.
@@ -518,11 +594,13 @@ fn answer_digest(o: &SeOracle) -> (u64, u64) {
 /// one answer, or one probe, fails here.
 #[test]
 fn seor_fixture_answers_hold_their_recorded_digests() {
-    let fixtures: [(&str, &[u8], u64, u64); 4] = [
+    let fixtures: [(&str, &[u8], u64, u64); 6] = [
         ("v1/oracle-l4", seor_level4(), 0xb6bd_be55_220c_6799, 256),
         ("v1/oracle-l5", seor_level5(), 0x31ce_6491_0277_bd89, 644),
         ("v2/oracle-l5", seor_level5_fixture_v2(), 0x31ce_6491_0277_bd89, 644),
         ("v2/oracle-l5-c", seor_level5_fixture_v2_compressed(), 0xe646_50e3_c21f_3e79, 644),
+        ("v3/oracle-l5", seor_level5_fixture_v3(), 0x31ce_6491_0277_bd89, 644),
+        ("v3/oracle-l5-c", seor_level5_fixture_v3_compressed(), 0xe646_50e3_c21f_3e79, 644),
     ];
     for (name, image, want, want_probes) in fixtures {
         let o = SeOracle::load_bytes(image).unwrap();
@@ -535,6 +613,41 @@ fn seor_fixture_answers_hold_their_recorded_digests() {
             .flat_map(|(s, t)| o.distance(s, t).to_le_bytes())
             .collect();
         assert_eq!(fnv1a(&singles), want, "{name}: single calls");
+    }
+}
+
+/// What a v3 load may hold at its peak beyond `storage_bytes()` of the
+/// oracle it returns: the spare capacity of the tree's children lists,
+/// which `storage_bytes` counts by length (416 B for the oracle below),
+/// with room to spare.
+const LOAD_SLACK: usize = 4096;
+
+/// The load transient: a v3 load checks its frame in place and fills the
+/// pair table straight from the key stream, so its live bytes peak at the
+/// oracle it keeps plus [`LOAD_SLACK`]. A load that copies the payload and
+/// stages keys, distances and zipped entries holds about 35 bytes more per
+/// stored pair: 209,828 B above its start for the raw image here.
+#[test]
+fn v3_load_peaks_at_the_oracle_it_keeps() {
+    let (mesh, pois) = mesh_with_pois(5, 0.6, 103, 96);
+    let built =
+        P2POracle::build(&mesh, &pois, 0.25, EngineKind::EdgeGraph, &BuildConfig::default())
+            .unwrap()
+            .into_oracle();
+    assert!(built.n_pairs() > 4000, "{} pairs", built.n_pairs());
+    for compress in [false, true] {
+        let image = built.save_bytes_compact(compress);
+        let base = reset_live_peak();
+        let loaded = SeOracle::load_bytes(&image).unwrap();
+        let peak = (live_peak() - base) as usize;
+        let kept = loaded.storage_bytes();
+        assert!(
+            peak <= kept + LOAD_SLACK,
+            "compress {compress}: the load peaked {peak} B above its start, keeping {kept} B \
+             ({} pairs, {}-byte image)",
+            loaded.n_pairs(),
+            image.len()
+        );
     }
 }
 
@@ -598,6 +711,11 @@ fn seor_v2_checksum_fixed_flips_are_contained() {
 #[test]
 fn seat_v2_checksum_fixed_flips_are_contained() {
     checksum_fixed_flips(Kind::Atlas, seat_level4_v2(), "seat-v2-l4");
+}
+
+#[test]
+fn seor_v3_fixture_checksum_fixed_flips_are_contained() {
+    checksum_fixed_flips(Kind::Oracle, seor_level5_fixture_v3(), "seor-v3-fixture-l5");
 }
 
 #[test]
